@@ -51,12 +51,7 @@ def _config(args, strategy: str | None = None) -> ScenarioConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args)
-    try:
-        report = scenario.run_scenario(cfg)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = scenario.run_scenario(_config(args))
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
@@ -64,12 +59,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config(args, strategy="semismart")
-    try:
-        reports = scenario.run_sweep(cfg)
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reports = scenario.run_sweep(_config(args, strategy="semismart"))
     table = compare_scenarios(
         {s: r.summary() for s, r in reports.items()}, baseline="uncontrolled"
     )
@@ -156,7 +146,13 @@ def main(argv=None) -> int:
     p_sample.set_defaults(func=_cmd_sample)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # bad input (every parser error is a ValueError), unreadable files and
+    # infeasible runs end with one line on stderr, not a traceback
+    try:
+        return args.func(args)
+    except (SimulationError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -66,6 +66,8 @@ class BaseLoadCurve:
         arr = np.asarray(self.p_base, dtype=float)
         if arr.shape != (SLOTS_PER_DAY,):
             raise ValueError(f"base curve needs {SLOTS_PER_DAY} values, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("base curve values must be finite")
         if np.any(arr < 0):
             raise ValueError("base curve values must be nonnegative")
         object.__setattr__(self, "p_base", arr)
@@ -92,9 +94,12 @@ def load_base_curve(path: str | Path) -> BaseLoadCurve:
         if not stmt:
             continue
         try:
-            values.append(float(stmt))
+            value = float(stmt)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad curve value {stmt!r}") from exc
+        if not np.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite curve value {stmt!r}")
+        values.append(value)
     return BaseLoadCurve(np.array(values))
 
 

@@ -68,10 +68,7 @@ def _require_converged(states: list[NetworkState]) -> None:
 def losses_per_slot_kw(states: list[NetworkState], topology: NetworkTopology) -> np.ndarray:
     """Series I^2 R losses per slot in kW, neutral conductor included."""
     _require_converged(states)
-    r = np.empty((len(topology.lines), 4))
-    for k, ln in enumerate(topology.lines):
-        r[k, :3] = ln.z_phase.real
-        r[k, 3] = ln.z_neutral.real
+    r = topology.line_arrays[2].real
     out = np.empty(len(states))
     for t, st in enumerate(states):
         out[t] = np.sum(np.abs(st.i_line) ** 2 * r) / 1e3
@@ -164,14 +161,12 @@ def compare_scenarios(
 
     Losses are compared as signed percentages of the baseline losses
     (negative = reduction); minimum voltages as percentage-point changes.
-    Accepts either ScenarioReport.summary() dicts or ScenarioReports.
+    `summaries` maps scenario names to ScenarioReport.summary() dicts.
     """
     if baseline not in summaries:
         raise KeyError(f"baseline scenario {baseline!r} missing from reports")
 
     def _fields(entry):
-        if isinstance(entry, ScenarioReport):
-            entry = entry.summary()
         return entry["total_loss_kwh"], entry["min_voltage_pu"]["overall"]
 
     base_loss, base_minv = _fields(summaries[baseline])

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 PHASES = ("a", "b", "c")
 WIRES = ("a", "b", "c", "n")
 SLACK_BUS = 1
@@ -59,7 +61,8 @@ class LineSegment:
 class NetworkTopology:
     """Immutable radial feeder: buses 1..N, N-1 lines, slack at bus 1.
 
-    Derived lookups (parents, children, sweep order) are cached; instances
+    Derived lookups (bus count, parents, sweep order, line arrays) are
+    computed once and cached; the cached arrays are read-only, so instances
     are safe to share across concurrent scenario evaluations.
     """
 
@@ -96,13 +99,13 @@ class NetworkTopology:
             missing = sorted(set(self.buses) - set(order))
             raise TopologyError(f"buses {missing} are not connected to bus {SLACK_BUS}")
 
-    @property
+    @cached_property
     def n_buses(self) -> int:
         if not self.lines:
             return 1
         return max(max(ln.from_bus, ln.to_bus) for ln in self.lines)
 
-    @property
+    @cached_property
     def buses(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_buses + 1))
 
@@ -118,13 +121,6 @@ class NetworkTopology:
         return order
 
     @cached_property
-    def children_map(self) -> dict[int, tuple[int, ...]]:
-        kids: dict[int, list[int]] = {b: [] for b in self.buses}
-        for ln in self.lines:
-            kids[ln.from_bus].append(ln.to_bus)
-        return {b: tuple(sorted(v)) for b, v in kids.items()}
-
-    @cached_property
     def parent_line_index(self) -> dict[int, int]:
         """Bus -> index into `lines` of the segment feeding it (slack absent)."""
         return {ln.to_bus: k for k, ln in enumerate(self.lines)}
@@ -134,13 +130,22 @@ class NetworkTopology:
         """Buses in root-first traversal order; reverse it for backward sweeps."""
         return tuple(self._walk())
 
+    @cached_property
+    def line_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(frm, to, z)`` rows following `lines`.
 
-def children(topology: NetworkTopology, bus: int) -> tuple[int, ...]:
-    """Buses fed directly from `bus`; empty for leaves."""
-    try:
-        return topology.children_map[bus]
-    except KeyError:
-        raise TopologyError(f"unknown bus {bus}") from None
+        frm, to -- 0-based bus indices of each segment's ends, shape (n_lines,)
+        z       -- complex ohms per wire, shape (n_lines, 4), wire order a, b, c, n
+        """
+        frm = np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)
+        to = np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)
+        z = np.empty((len(self.lines), 4), dtype=complex)
+        for k, ln in enumerate(self.lines):
+            z[k, :3] = ln.z_phase
+            z[k, 3] = ln.z_neutral
+        for arr in (frm, to, z):
+            arr.flags.writeable = False
+        return frm, to, z
 
 
 @dataclass

@@ -37,7 +37,6 @@ DEFAULT_TOLERANCE_PU = 1e-12
 DEFAULT_MAX_ITERATIONS = 100
 VOLTAGE_FLOOR_PU = 0.5
 
-_WIRE_INDEX = {w: i for i, w in enumerate(WIRES)}
 # slack phasors: phases at 0, -120, +120 degrees, neutral at zero
 _SLACK_ROTATION = np.array(
     [1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3), 0.0], dtype=complex
@@ -75,9 +74,6 @@ class NetworkState:
     iterations: int
     max_dv: float
 
-    def voltage(self, bus: int, wire: str) -> complex:
-        return complex(self.v[bus - 1, _WIRE_INDEX[wire]])
-
     def phase_to_neutral(self) -> np.ndarray:
         """Phase-to-neutral voltages, shape (n_buses, 3)."""
         return self.v[:, :3] - self.v[:, 3:4]
@@ -99,17 +95,6 @@ def _as_injection_array(topology: NetworkTopology, injections) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise ValueError("injections must be finite")
     return s
-
-
-def _line_arrays(topology: NetworkTopology):
-    lines = topology.lines
-    frm = np.array([ln.from_bus - 1 for ln in lines], dtype=int)
-    to = np.array([ln.to_bus - 1 for ln in lines], dtype=int)
-    z = np.empty((len(lines), 4), dtype=complex)
-    for k, ln in enumerate(lines):
-        z[k, :3] = ln.z_phase
-        z[k, 3] = ln.z_neutral
-    return frm, to, z
 
 
 def _check_floor(u: np.ndarray, topology: NetworkTopology, iteration: int) -> None:
@@ -154,7 +139,7 @@ def solve_sweep(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = topology.n_buses
-    frm, to, z = _line_arrays(topology)
+    frm, _, z = topology.line_arrays
     parent_line = topology.parent_line_index
     order = [b - 1 for b in topology.sweep_order]
 
@@ -213,7 +198,7 @@ def solve_direct(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     n = topology.n_buses
-    frm, to, z = _line_arrays(topology)
+    frm, to, z = topology.line_arrays
 
     nn = 4 * n
     y = np.zeros((nn, nn), dtype=complex)
@@ -273,7 +258,7 @@ def kcl_residual(state: NetworkState, topology: NetworkTopology, injections) -> 
     """
     s = _as_injection_array(topology, injections)
     drawn = _injection_currents(s, state.v)
-    frm, to, _ = _line_arrays(topology)
+    frm, to, _ = topology.line_arrays
     balance = -drawn
     np.add.at(balance, to, state.i_line)     # incoming from parent
     np.subtract.at(balance, frm, state.i_line)  # outgoing toward children
@@ -290,7 +275,7 @@ def complex_power_balance(
     converged state.
     """
     s = _as_injection_array(topology, injections)
-    frm, to, z = _line_arrays(topology)
+    frm, _, z = topology.line_arrays
     u = state.phase_to_neutral()
     load = np.sum(u * np.conj(state.i_load))
     loss = np.sum(np.abs(state.i_line) ** 2 * z)

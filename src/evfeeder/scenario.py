@@ -219,16 +219,17 @@ class _Inputs:
 
 
 def _run_one(
-    inputs: _Inputs, strategy: str, households: list[HouseholdLoad], fleet: FleetSpec
-) -> tuple[ScenarioReport, np.ndarray]:
+    inputs: _Inputs, strategy: str, frame: np.ndarray, fleet: FleetSpec
+) -> ScenarioReport:
+    """Solve and reduce one strategy's day on a trial's household frame."""
     cfg = inputs.cfg
     topo = inputs.topology
-    demand = household_frame(households, topo)
+    demand = frame
     schedule = build_schedule(
         strategy, fleet, timer_start=cfg.timer_start, zone_plan=inputs.zone_plan
     )
     if schedule is not None:
-        demand = demand + charging.ev_power_frame(schedule, topo)
+        demand = frame + charging.ev_power_frame(schedule, topo)
     states = solve_horizon(
         topo,
         demand,
@@ -236,8 +237,7 @@ def _run_one(
         max_iterations=cfg.max_iterations,
         strategy=strategy,
     )
-    report = metrics.reduce_horizon(strategy, states, topo, demand)
-    return report, demand
+    return metrics.reduce_horizon(strategy, states, topo, demand)
 
 
 def _aggregate(per_trial: list[dict]) -> dict:
@@ -256,35 +256,67 @@ def _aggregate(per_trial: list[dict]) -> dict:
     }
 
 
+def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, ScenarioReport]:
+    """The trial loop: every strategy sees the same household draw per trial.
+
+    Returns each strategy's first-trial report, carrying the per-trial
+    summaries and their aggregate in ``extra``.
+    """
+    cfg = config.resolved()
+    inputs = _Inputs(cfg)
+    seeds = trial_seeds(cfg.seed, cfg.trials)
+    reports: dict[str, ScenarioReport] = {}
+    per_trial: dict[str, list[dict]] = {s: [] for s in strategies}
+    for i, sd in enumerate(seeds):
+        frame = household_frame(
+            inputs.households_for_trial(sd["household"]), inputs.topology
+        )
+        # shared by every strategy of the trial; the baseline solves it as is
+        frame.flags.writeable = False
+        fleet = inputs.fleet_for_trial(sd["fleet"])
+        for strategy in strategies:
+            try:
+                report = _run_one(inputs, strategy, frame, fleet)
+            except SimulationError as exc:
+                raise SimulationError(f"trial {i}: {exc}") from None
+            per_trial[strategy].append(report.summary())
+            reports.setdefault(strategy, report)
+    for strategy, report in reports.items():
+        report.extra["per_trial"] = per_trial[strategy]
+        report.extra["aggregate"] = _aggregate(per_trial[strategy])
+    if cfg.out_dir is not None:
+        out = Path(cfg.out_dir)
+        # one strategy writes into out_dir; several write a subdirectory each
+        # plus a comparison table against the uncontrolled scenario
+        single = len(strategies) == 1
+        for strategy, report in reports.items():
+            sub = out if single else out / strategy
+            write_report_files(sub, report, inputs.topology)
+            _write_json(sub / "summary.json", {
+                "scenario": strategy,
+                "trials": cfg.trials,
+                "per_trial": report.extra["per_trial"],
+                "aggregate": report.extra["aggregate"],
+            })
+        if not single:
+            table = metrics.compare_scenarios(
+                {s: r.summary() for s, r in reports.items()}, baseline="uncontrolled"
+            )
+            _write_comparison_csv(out / "comparison.csv", table)
+            (out / "comparison.txt").write_text(
+                metrics.format_comparison(table, "uncontrolled") + "\n"
+            )
+        _write_json(out / "manifest.json", build_manifest(cfg, seeds))
+    return reports
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Run one strategy for the configured trials; write files if out_dir set.
 
     Returns the first trial's full report; multi-trial aggregates land in
     ``summary.json`` and in ``report.extra['aggregate']``.
     """
-    cfg = config.resolved()
-    inputs = _Inputs(cfg)
-    seeds = trial_seeds(cfg.seed, cfg.trials)
-    first_report: ScenarioReport | None = None
-    per_trial: list[dict] = []
-    for i, sd in enumerate(seeds):
-        households = inputs.households_for_trial(sd["household"])
-        fleet = inputs.fleet_for_trial(sd["fleet"])
-        try:
-            report, _ = _run_one(inputs, cfg.strategy, households, fleet)
-        except SimulationError as exc:
-            raise SimulationError(f"trial {i}: {exc}") from None
-        per_trial.append(report.summary())
-        if first_report is None:
-            first_report = report
-    first_report.extra["per_trial"] = per_trial
-    first_report.extra["aggregate"] = _aggregate(per_trial)
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        write_report_files(out, first_report, inputs.topology)
-        _write_json(out / "summary.json", _summary_payload(cfg, per_trial))
-        _write_json(out / "manifest.json", build_manifest(cfg, seeds))
-    return first_report
+    return _run(config, (config.strategy,))[config.strategy]
 
 
 def run_sweep(config: ScenarioConfig) -> dict[str, ScenarioReport]:
@@ -293,44 +325,7 @@ def run_sweep(config: ScenarioConfig) -> dict[str, ScenarioReport]:
     Writes per-strategy subdirectories plus a comparison table against the
     uncontrolled scenario when out_dir is set.
     """
-    cfg = config.resolved()
-    inputs = _Inputs(cfg)
-    seeds = trial_seeds(cfg.seed, cfg.trials)
-    reports: dict[str, ScenarioReport] = {}
-    per_trial: dict[str, list[dict]] = {s: [] for s in STRATEGIES}
-    for i, sd in enumerate(seeds):
-        households = inputs.households_for_trial(sd["household"])
-        fleet = inputs.fleet_for_trial(sd["fleet"])
-        for strategy in STRATEGIES:
-            try:
-                report, _ = _run_one(inputs, strategy, households, fleet)
-            except SimulationError as exc:
-                raise SimulationError(f"trial {i}: {exc}") from None
-            per_trial[strategy].append(report.summary())
-            if i == 0:
-                reports[strategy] = report
-    for strategy, report in reports.items():
-        report.extra["per_trial"] = per_trial[strategy]
-        report.extra["aggregate"] = _aggregate(per_trial[strategy])
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        for strategy, report in reports.items():
-            sub = out / strategy
-            write_report_files(sub, report, inputs.topology)
-            _write_json(
-                sub / "summary.json",
-                _summary_payload(dataclasses.replace(cfg, strategy=strategy),
-                                 per_trial[strategy]),
-            )
-        table = metrics.compare_scenarios(
-            {s: r.summary() for s, r in reports.items()}, baseline="uncontrolled"
-        )
-        _write_comparison_csv(out / "comparison.csv", table)
-        (out / "comparison.txt").write_text(
-            metrics.format_comparison(table, "uncontrolled") + "\n"
-        )
-        _write_json(out / "manifest.json", build_manifest(cfg, seeds))
-    return reports
+    return _run(config, STRATEGIES)
 
 
 def validate(config: ScenarioConfig) -> dict:
@@ -424,15 +419,6 @@ def read_voltages_csv(path: Path, topology: NetworkTopology) -> np.ndarray:
     if np.any(np.isnan(out)):
         raise ValueError(f"{path}: incomplete voltage profile")
     return out
-
-
-def _summary_payload(cfg: ScenarioConfig, per_trial: list[dict]) -> dict:
-    return {
-        "scenario": cfg.strategy,
-        "trials": cfg.trials,
-        "per_trial": per_trial,
-        "aggregate": _aggregate(per_trial),
-    }
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:

@@ -86,3 +86,28 @@ def test_infeasible_run_exits_nonzero(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_malformed_feeder_row_exits_cleanly(tmp_path, capsys):
+    feeder = tmp_path / "bad.txt"
+    feeder.write_text("slack_voltage 220\nline 1 2 0.1 oops\n")
+    rc = main(["run", "--feeder", str(feeder)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {feeder}:2: malformed row 'line 1 2 0.1 oops'\n"
+
+
+def test_missing_feeder_file_exits_cleanly(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    rc = main(["sweep", "--feeder", str(missing)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_curve_value_exits_cleanly(tmp_path, capsys):
+    curve = tmp_path / "curve.txt"
+    curve.write_text("# watts\n" + "500.0\n" * 40 + "nan\n" + "500.0\n" * 55)
+    rc = main(["run", "--curve", str(curve)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {curve}:42: non-finite curve value 'nan'\n"

@@ -64,6 +64,11 @@ def test_curve_validation():
         BaseLoadCurve(np.ones(95))
     with pytest.raises(ValueError):
         BaseLoadCurve(np.full(96, -1.0))
+    for bad in (np.nan, np.inf):
+        values = np.ones(96)
+        values[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BaseLoadCurve(values)
 
 
 # --- household sampling ------------------------------------------------------

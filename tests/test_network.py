@@ -5,7 +5,6 @@ from evfeeder.network import (
     LineSegment,
     NetworkTopology,
     TopologyError,
-    children,
     format_topology,
     load_topology,
     loads_topology,
@@ -46,14 +45,25 @@ def test_shipped_feeder_resistance_sum(feeder19):
 
 
 def test_children(feeder19):
-    assert children(feeder19, 7) == (8, 9, 10)
-    assert children(feeder19, 1) == (2, 16, 19)
-    assert children(feeder19, 10) == ()
+    parent = {b: feeder19.lines[k].from_bus for b, k in feeder19.parent_line_index.items()}
+
+    def fed_from(bus):
+        return sorted(b for b, p in parent.items() if p == bus)
+
+    assert fed_from(7) == [8, 9, 10]
+    assert fed_from(1) == [2, 16, 19]
+    assert fed_from(10) == []
 
 
-def test_children_unknown_bus(feeder19):
-    with pytest.raises(TopologyError, match="unknown bus"):
-        children(feeder19, 99)
+def test_line_arrays_follow_lines_and_are_read_only(feeder19):
+    frm, to, z = feeder19.line_arrays
+    assert feeder19.line_arrays is feeder19.line_arrays
+    for k, ln in enumerate(feeder19.lines):
+        assert (frm[k] + 1, to[k] + 1) == (ln.from_bus, ln.to_bus)
+        assert list(z[k]) == [ln.z_phase] * 3 + [ln.z_neutral]
+    for arr in (frm, to, z):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_every_bus_has_single_path_to_slack(feeder19):
@@ -142,8 +152,8 @@ def test_bus_numbering_need_not_follow_tree_depth():
     topo = loads_topology(
         "slack_voltage 220\nline 1 3 0.1 0.0\nline 3 2 0.1 0.0\n"
     )
-    assert children(topo, 3) == (2,)
     assert topo.sweep_order == (1, 3, 2)
+    assert topo.lines[topo.parent_line_index[2]].from_bus == 3
 
 
 def test_segments_validate_directly():

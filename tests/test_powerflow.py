@@ -100,8 +100,8 @@ def test_single_phase_load_matches_scalar_fixed_point():
     assert got == pytest.approx(u, abs=1e-8)
     # frozen from the oracle above
     assert got == pytest.approx(217.74967162612234 - 0.09090909090909j, abs=1e-6)
-    assert state.voltage(2, "a") == pytest.approx(218.87483581306117 - 0.045454545454545j, abs=1e-6)
-    assert state.voltage(2, "n") == pytest.approx(1.1251641869388385 + 0.045454545454545j, abs=1e-6)
+    assert state.v[1, 0] == pytest.approx(218.87483581306117 - 0.045454545454545j, abs=1e-6)
+    assert state.v[1, 3] == pytest.approx(1.1251641869388385 + 0.045454545454545j, abs=1e-6)
 
 
 def test_sweep_agrees_with_direct_single_phase():
