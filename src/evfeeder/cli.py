@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import loads, scenario
+from . import loads, powerflow, scenario
 from .metrics import compare_scenarios, format_comparison
 from .scenario import STRATEGIES, ScenarioConfig, SimulationError
 from .slots import slot_of
@@ -28,7 +28,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="household noise as a fraction of the curve value")
     p.add_argument("--tolerance", type=float,
                    help="solver convergence tolerance in volts")
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=int, default=powerflow.DEFAULT_MAX_ITERATIONS)
     p.add_argument("--out", type=Path, help="output directory")
 
 
@@ -109,11 +109,9 @@ def _cmd_sample(args) -> int:
             curve, consumers, args.sigma, seed=args.seed
         )
         hh_path = out / "households.csv"
-        with open(hh_path, "w") as f:
-            f.write("bus,phase,slot,p_w,q_var\n")
-            for h in households:
-                for t in range(len(h.p)):
-                    f.write(f"{h.bus},{h.phase},{t},{h.p[t]:.9g},{h.q[t]:.9g}\n")
+        scenario._write_csv(hh_path, "bus,phase,slot,p_w,q_var", (
+            (f"{h.bus},{h.phase},", (h.p, h.q)) for h in households
+        ))
         print(f"wrote {hh_path}")
     return 0
 

@@ -161,8 +161,8 @@ class EvSpec:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ValueError(f"unknown phase {self.phase!r}")
-        if self.capacity_kwh <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < self.capacity_kwh < math.inf:
+            raise ValueError(f"capacity {self.capacity_kwh} kWh must be positive and finite")
         if not 0 <= self.initial_soc <= SOC_TARGET:
             raise ValueError(f"initial SOC {self.initial_soc} outside [0, {SOC_TARGET}]")
         if not (0 <= self.arrival < SLOTS_PER_DAY and 0 <= self.departure < SLOTS_PER_DAY):

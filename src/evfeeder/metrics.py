@@ -1,7 +1,10 @@
-"""Reductions of a solved horizon into the reported study quantities.
+"""Reduction of a solved day into the reported study quantities.
 
-Losses are resistive I^2 R over every conductor including the neutral,
-integrated over the day. Voltages are reported per unit as
+:func:`reduce_horizon` walks the 96 solved slots once. Per slot it records
+the per-unit voltages, the line current magnitudes, the series losses and
+the slack/load energies; the extremes are then located on the recorded
+voltages. Losses are resistive I^2 R over every conductor including the
+neutral, integrated over the day. Voltages are reported per unit as
 |v_phase - v_neutral| / v_base for the phases and |v_neutral| / v_base for
 the neutral wire.
 """
@@ -59,56 +62,9 @@ class ScenarioReport:
         }
 
 
-def _require_converged(states: list[NetworkState]) -> None:
-    bad = [t for t, st in enumerate(states) if not st.converged]
-    if bad:
-        raise ValueError(f"slots {bad} are not converged; refusing to reduce")
-
-
-def losses_per_slot_kw(states: list[NetworkState], topology: NetworkTopology) -> np.ndarray:
-    """Series I^2 R losses per slot in kW, neutral conductor included."""
-    _require_converged(states)
-    r = topology.line_arrays[2].real
-    out = np.empty(len(states))
-    for t, st in enumerate(states):
-        out[t] = np.sum(np.abs(st.i_line) ** 2 * r) / 1e3
-    return out
-
-
-def energy_losses(states: list[NetworkState], topology: NetworkTopology) -> float:
-    """Wasted energy over the horizon in kWh."""
-    return float(np.sum(losses_per_slot_kw(states, topology)) * SLOT_HOURS)
-
-
-def worst_bus_voltages(
-    states: list[NetworkState], topology: NetworkTopology
-) -> tuple[dict[str, Extremum], dict[str, float]]:
-    """Per-phase minima of |v_ph - v_n|/v_base with bus and slot attribution.
-
-    Returns the independent per-phase minima (plus the overall minimum) and,
-    separately, the per-phase minima evaluated at the single overall worst
-    bus, since the two conventions differ for unbalanced feeders.
-    """
-    _require_converged(states)
-    pu = np.stack([st.phase_voltage_pu(topology.v_base) for st in states])  # (T, N, 3)
-    result: dict[str, Extremum] = {}
-    for i, ph in enumerate(PHASES):
-        t, b = np.unravel_index(int(np.argmin(pu[:, :, i])), pu[:, :, i].shape)
-        result[ph] = Extremum(value_pu=float(pu[t, b, i]), bus=int(b) + 1, slot=int(t))
-    overall_key = min(PHASES, key=lambda ph: result[ph].value_pu)
-    worst = result[overall_key]
-    result["overall"] = Extremum(value_pu=worst.value_pu, bus=worst.bus, slot=worst.slot)
-    at_worst_bus = {
-        ph: float(pu[:, worst.bus - 1, i].min()) for i, ph in enumerate(PHASES)
-    }
-    return result, at_worst_bus
-
-
-def max_neutral_voltage(states: list[NetworkState], topology: NetworkTopology) -> Extremum:
-    """Largest |v_n|/v_base over buses and slots."""
-    _require_converged(states)
-    pu = np.stack([st.neutral_voltage_pu(topology.v_base) for st in states])  # (T, N)
-    t, b = np.unravel_index(int(np.argmax(pu)), pu.shape)
+def _extremum(pu: np.ndarray, arg) -> Extremum:
+    """Locate ``arg`` (np.argmin or np.argmax) over a (slot, bus) array."""
+    t, b = np.unravel_index(int(arg(pu)), pu.shape)
     return Extremum(value_pu=float(pu[t, b]), bus=int(b) + 1, slot=int(t))
 
 
@@ -118,35 +74,46 @@ def reduce_horizon(
     topology: NetworkTopology,
     injections: np.ndarray,
 ) -> ScenarioReport:
-    """Build the full report for one solved day.
+    """Build the full report for one solved day in one pass over its slots.
 
     `injections` is the (96, n_buses, 3) complex demand frame the states
-    were solved from; it feeds the slack/load energy cross-check.
+    were solved from; it feeds the slack/load energy cross-check. The
+    per-phase minima are independent per phase; ``phase_minima_at_worst_bus``
+    evaluates all three phases at the single overall worst bus, since the
+    two conventions differ on unbalanced feeders.
     """
-    _require_converged(states)
+    bad = [t for t, st in enumerate(states) if not st.converged]
+    if bad:
+        raise ValueError(f"slots {bad} are not converged; refusing to reduce")
     if len(states) != SLOTS_PER_DAY:
         raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(states)}")
-    loss_kw = losses_per_slot_kw(states, topology)
-    minima, at_worst = worst_bus_voltages(states, topology)
-    neutral = max_neutral_voltage(states, topology)
+    r = topology.line_arrays[2].real
     voltage_pu = np.empty((SLOTS_PER_DAY, topology.n_buses, 4))
     current_a = np.empty((SLOTS_PER_DAY, len(topology.lines), 4))
+    loss_kw = np.empty(SLOTS_PER_DAY)
     slack_wh = 0.0
     load_wh = 0.0
     for t, st in enumerate(states):
         voltage_pu[t, :, :3] = st.phase_voltage_pu(topology.v_base)
         voltage_pu[t, :, 3] = st.neutral_voltage_pu(topology.v_base)
         current_a[t] = np.abs(st.i_line)
+        loss_kw[t] = np.sum(current_a[t] ** 2 * r) / 1e3
         bal = complex_power_balance(st, topology, injections[t])
         slack_wh += bal["slack"].real * SLOT_HOURS
         load_wh += bal["load"].real * SLOT_HOURS
+    minima = {ph: _extremum(voltage_pu[:, :, i], np.argmin) for i, ph in enumerate(PHASES)}
+    worst = min(minima.values(), key=lambda e: e.value_pu)
+    minima["overall"] = worst
+    at_worst = {
+        ph: float(voltage_pu[:, worst.bus - 1, i].min()) for i, ph in enumerate(PHASES)
+    }
     return ScenarioReport(
         scenario=scenario,
         total_loss_kwh=float(loss_kw.sum() * SLOT_HOURS),
         loss_kw=loss_kw,
         min_voltage=minima,
         phase_minima_at_worst_bus=at_worst,
-        max_neutral=neutral,
+        max_neutral=_extremum(voltage_pu[:, :, 3], np.argmax),
         voltage_pu=voltage_pu,
         current_a=current_a,
         slack_energy_kwh=slack_wh / 1e3,

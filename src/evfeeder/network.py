@@ -20,6 +20,8 @@ series impedance above it is unobservable downstream.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,6 +53,10 @@ class LineSegment:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise TopologyError(f"line {self.from_bus}->{self.to_bus} is a self loop")
+        if not (cmath.isfinite(self.z_phase) and cmath.isfinite(self.z_neutral)):
+            raise TopologyError(
+                f"line {self.from_bus}->{self.to_bus} has a non-finite impedance"
+            )
         if self.z_phase.real < 0 or self.z_neutral.real < 0:
             raise TopologyError(
                 f"line {self.from_bus}->{self.to_bus} has negative resistance"
@@ -72,8 +78,8 @@ class NetworkTopology:
     transformer_reactance: float = 0.0
 
     def __post_init__(self):
-        if self.slack_voltage_magnitude <= 0 or self.v_base <= 0:
-            raise TopologyError("slack voltage and v_base must be positive")
+        if not (0 < self.slack_voltage_magnitude < math.inf and 0 < self.v_base < math.inf):
+            raise TopologyError("slack voltage and v_base must be positive and finite")
         n = self.n_buses
         seen: dict[tuple[int, int], int] = {}
         parent: dict[int, int] = {}
@@ -156,6 +162,13 @@ class _Header:
     neutral_scale: float = 1.0
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise FeederFormatError(f"non-finite value {token!r}")
+    return value
+
+
 def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
     hdr = _Header()
     raw_lines: list[tuple[int, tuple[int, int, complex, complex | None]]] = []
@@ -167,13 +180,13 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
         key = parts[0]
         try:
             if key == "slack_voltage":
-                hdr.slack_voltage = float(parts[1])
+                hdr.slack_voltage = _finite(parts[1])
             elif key == "v_base":
-                hdr.v_base = float(parts[1])
+                hdr.v_base = _finite(parts[1])
             elif key == "transformer_reactance":
-                hdr.transformer_reactance = float(parts[1])
+                hdr.transformer_reactance = _finite(parts[1])
             elif key == "neutral_scale":
-                hdr.neutral_scale = float(parts[1])
+                hdr.neutral_scale = _finite(parts[1])
             elif key == "line":
                 if len(parts) not in (5, 7):
                     raise IndexError
@@ -182,10 +195,10 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
                 zn = complex(float(parts[5]), float(parts[6])) if len(parts) == 7 else None
                 raw_lines.append((lineno, (f, t, zp, zn)))
             else:
-                raise FeederFormatError(f"{source}:{lineno}: unknown keyword {key!r}")
+                raise FeederFormatError(f"unknown keyword {key!r}")
+        except FeederFormatError as exc:
+            raise FeederFormatError(f"{source}:{lineno}: {exc}") from None
         except (ValueError, IndexError) as exc:
-            if isinstance(exc, FeederFormatError):
-                raise
             raise FeederFormatError(f"{source}:{lineno}: malformed row {stmt!r}") from exc
     if hdr.slack_voltage is None:
         raise FeederFormatError(f"{source}: missing slack_voltage header")

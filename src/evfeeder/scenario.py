@@ -191,11 +191,16 @@ class _Inputs:
         self.curve = loads.load_base_curve(cfg.curve)
         self.consumers = consumers_of(self.topology)
         self.zone_plan = charging.load_zone_plan(cfg.zones) if cfg.zones else None
-        self.file_fleet = (
-            loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
-            if cfg.fleet_file is not None
-            else None
-        )
+        self.file_fleet = None
+        if cfg.fleet_file is not None:
+            self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
+            n = self.topology.n_buses
+            for ev in self.file_fleet.vehicles:
+                if not 1 <= ev.bus <= n:
+                    raise ValueError(
+                        f"{cfg.fleet_file}: vehicle at bus {ev.bus} is outside the "
+                        f"feeder's {n} buses"
+                    )
 
     def fleet_for_trial(self, fleet_seed: int) -> FleetSpec:
         if self.file_fleet is not None:
@@ -332,31 +337,32 @@ def validate(config: ScenarioConfig) -> dict:
     """Cross-check both solvers on the configured feeder at three snapshots.
 
     Uses noise-free household demand at the curve's valley, shoulder (08:00)
-    and peak slots. Returns per-snapshot residuals plus an ``ok`` flag that
-    is False when the solvers disagree beyond ORACLE_TOLERANCE_PU.
+    and peak slots; reads only the feeder and the curve. Returns per-snapshot
+    residuals plus an ``ok`` flag that is False when the solvers disagree
+    beyond ORACLE_TOLERANCE_PU. A snapshot the feeder cannot serve raises
+    SimulationError naming the snapshot and slot.
     """
     cfg = config.resolved()
-    inputs = _Inputs(cfg)
-    topo = inputs.topology
-    curve = inputs.curve
+    topo = load_topology(cfg.feeder)
+    curve = loads.load_base_curve(cfg.curve)
     snapshots = {
         "valley": int(np.argmin(curve.p_base)),
         "shoulder": slot_of("08:00"),
         "peak": int(np.argmax(curve.p_base)),
     }
     households = loads.sample_household_loads(
-        curve, inputs.consumers, 0.0, cfg.power_factor, seed=0, leading=cfg.leading_pf
+        curve, consumers_of(topo), 0.0, cfg.power_factor, seed=0, leading=cfg.leading_pf
     )
     demand = household_frame(households, topo)
+    limits = {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations}
     rows = {}
     ok = True
     for name, t in snapshots.items():
-        sweep = powerflow.solve_sweep(
-            topo, demand[t], tolerance=cfg.tolerance, max_iterations=cfg.max_iterations
-        )
-        direct = powerflow.solve_direct(
-            topo, demand[t], tolerance=cfg.tolerance, max_iterations=cfg.max_iterations
-        )
+        try:
+            sweep = powerflow.solve_sweep(topo, demand[t], **limits)
+            direct = powerflow.solve_direct(topo, demand[t], **limits)
+        except InfeasibleInjectionError as exc:
+            raise SimulationError(f"{name} snapshot, slot {t}: {exc}") from exc
         disagreement = float(np.max(np.abs(sweep.v - direct.v))) / topo.v_base
         p_err, q_err = powerflow.power_balance_error(sweep, topo, demand[t])
         rows[name] = {
@@ -382,27 +388,33 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _write_csv(path: Path, header: str, keyed) -> None:
+    """Stream a slot-indexed CSV, key-outer and slot-inner.
+
+    ``keyed`` yields ``(key, columns)``: ``key`` is the text that opens each
+    of the key's rows (``""`` for none) and ``columns`` holds one (96,)
+    array per value column. Rows read ``<key><slot>,<value>[,<value>]``.
+    """
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for key, (first, *rest) in keyed:
+            cells = map(_fmt, first.tolist())
+            for column in rest:
+                cells = map("{},{}".format, cells, map(_fmt, column.tolist()))
+            f.writelines(f"{key}{t},{cell}\n" for t, cell in enumerate(cells))
+
+
 def write_report_files(out: Path, report: ScenarioReport, topology: NetworkTopology) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "voltages.csv", "w") as f:
-        f.write("bus,wire,slot,v_pu\n")
-        for b in range(topology.n_buses):
-            for w, wire in enumerate(WIRES):
-                for t in range(SLOTS_PER_DAY):
-                    f.write(f"{b + 1},{wire},{t},{_fmt(report.voltage_pu[t, b, w])}\n")
-    with open(out / "currents.csv", "w") as f:
-        f.write("from_bus,to_bus,wire,slot,i_a\n")
-        for k, ln in enumerate(topology.lines):
-            for w, wire in enumerate(WIRES):
-                for t in range(SLOTS_PER_DAY):
-                    f.write(
-                        f"{ln.from_bus},{ln.to_bus},{wire},{t},"
-                        f"{_fmt(report.current_a[t, k, w])}\n"
-                    )
-    with open(out / "losses.csv", "w") as f:
-        f.write("slot,loss_kw\n")
-        for t in range(SLOTS_PER_DAY):
-            f.write(f"{t},{_fmt(report.loss_kw[t])}\n")
+    _write_csv(out / "voltages.csv", "bus,wire,slot,v_pu", (
+        (f"{b + 1},{wire},", (report.voltage_pu[:, b, w],))
+        for b in range(topology.n_buses) for w, wire in enumerate(WIRES)
+    ))
+    _write_csv(out / "currents.csv", "from_bus,to_bus,wire,slot,i_a", (
+        (f"{ln.from_bus},{ln.to_bus},{wire},", (report.current_a[:, k, w],))
+        for k, ln in enumerate(topology.lines) for w, wire in enumerate(WIRES)
+    ))
+    _write_csv(out / "losses.csv", "slot,loss_kw", [("", (report.loss_kw,))])
 
 
 def read_voltages_csv(path: Path, topology: NetworkTopology) -> np.ndarray:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from evfeeder.cli import main
+from evfeeder.scenario import default_fleet_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
 
@@ -45,13 +47,20 @@ def test_sample_subcommand(tmp_path, capsys):
     assert "34 vehicles" in out
 
 
+# SHA-256 of households.csv from `sample --seed 3 --penetration 0.1 --households`,
+# taken before that file went through the shared CSV writer
+HOUSEHOLDS_SEED3_SHA256 = "6be0f12cef745aca97124ff0ec938119908c1f0d5929805a4efd95f32a32327e"
+
+
 def test_sample_households(tmp_path):
     rc = main(["sample", "--penetration", "0.1", "--seed", "3", "--households",
                "--out", str(tmp_path)])
     assert rc == 0
-    hh = (tmp_path / "households.csv").read_text().splitlines()
+    data = (tmp_path / "households.csv").read_bytes()
+    hh = data.decode().splitlines()
     assert hh[0] == "bus,phase,slot,p_w,q_var"
     assert len(hh) == 1 + 57 * 96
+    assert hashlib.sha256(data).hexdigest() == HOUSEHOLDS_SEED3_SHA256
 
 
 def test_run_with_custom_inputs(tmp_path, capsys):
@@ -111,3 +120,35 @@ def test_non_finite_curve_value_exits_cleanly(tmp_path, capsys):
     rc = main(["run", "--curve", str(curve)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {curve}:42: non-finite curve value 'nan'\n"
+
+
+def _two_bus_feeder(tmp_path, r_ohm="0.1", x_ohm="0.0"):
+    feeder = tmp_path / "feeder.txt"
+    feeder.write_text(f"slack_voltage 220\nline 1 2 {r_ohm} {x_ohm}\n")
+    return feeder
+
+
+def test_infeasible_validate_exits_cleanly(tmp_path, capsys):
+    feeder = _two_bus_feeder(tmp_path, "9.0", "1.0")
+    curve = tmp_path / "curve.txt"
+    curve.write_text("2000.0\n" * 96)
+    rc = main(["validate", "--feeder", str(feeder), "--curve", str(curve)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: valley snapshot, slot 0: |v_")
+
+
+def test_fleet_outside_feeder_exits_cleanly(tmp_path, capsys):
+    rc = main(["run", "--feeder", str(_two_bus_feeder(tmp_path))])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {default_fleet_path()}: vehicle at bus 3 is outside the feeder's 2 buses\n"
+    )
+
+
+def test_non_finite_impedance_exits_cleanly(tmp_path, capsys):
+    feeder = _two_bus_feeder(tmp_path, "nan")
+    rc = main(["validate", "--feeder", str(feeder)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {feeder}:2: line 1->2 has a non-finite impedance\n"

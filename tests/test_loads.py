@@ -228,6 +228,14 @@ def test_malformed_fleet_row(tmp_path):
         load_fleet(path)
 
 
+@pytest.mark.parametrize("capacity", ["nan", "inf"])
+def test_non_finite_capacity_rejected_with_line_number(tmp_path, capacity):
+    path = tmp_path / "fleet.txt"
+    path.write_text(f"1 a 20 17:00 05:00 50\n2 b {capacity} 17:00 05:00 50\n")
+    with pytest.raises(FleetFormatError, match=rf":2: capacity {capacity} kWh must be positive and finite"):
+        load_fleet(path)
+
+
 def test_fleet_round_trip(tmp_path):
     import warnings
 
@@ -308,6 +316,8 @@ def test_ev_spec_validation():
         EvSpec(bus=1, phase="d", capacity_kwh=10, arrival=0, departure=1, initial_soc=0.5)
     with pytest.raises(ValueError):
         EvSpec(bus=1, phase="a", capacity_kwh=-1, arrival=0, departure=1, initial_soc=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        EvSpec(bus=1, phase="a", capacity_kwh=math.inf, arrival=0, departure=1, initial_soc=0.5)
     with pytest.raises(ValueError):
         EvSpec(bus=1, phase="a", capacity_kwh=10, arrival=5, departure=5, initial_soc=0.5)
     with pytest.raises(ValueError):

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from evfeeder.metrics import (
-    compare_scenarios,
-    energy_losses,
-    format_comparison,
-    losses_per_slot_kw,
-    max_neutral_voltage,
-    reduce_horizon,
-    worst_bus_voltages,
-)
+from evfeeder.metrics import compare_scenarios, format_comparison, reduce_horizon
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
 from evfeeder.powerflow import NetworkState, slack_voltages, solve_sweep
 from evfeeder.scenario import default_feeder_path
@@ -38,13 +30,21 @@ def solved_horizon(topology, demand):
     return [solve_sweep(topology, demand[t]) for t in range(96)]
 
 
+def reduce_solved(topology, demand):
+    return reduce_horizon("test", solved_horizon(topology, demand), topology, demand)
+
+
+def reduce_synthetic(topology, states):
+    no_load = np.zeros((96, topology.n_buses, 3), complex)
+    return reduce_horizon("synthetic", states, topology, no_load)
+
+
 def test_zero_load_day():
     topo = two_bus()
-    states = [synthetic_state(topo) for _ in range(96)]
-    assert energy_losses(states, topo) == 0.0
-    minima, _ = worst_bus_voltages(states, topo)
-    assert minima["overall"].value_pu == pytest.approx(1.0)
-    assert max_neutral_voltage(states, topo).value_pu == 0.0
+    report = reduce_synthetic(topo, [synthetic_state(topo) for _ in range(96)])
+    assert report.total_loss_kwh == 0.0
+    assert report.min_voltage["overall"].value_pu == pytest.approx(1.0)
+    assert report.max_neutral.value_pu == 0.0
 
 
 def test_hand_computed_loss():
@@ -58,7 +58,11 @@ def test_hand_computed_loss():
             i_line[0, 0] = 10.0
             i_line[0, 3] = -10.0
         states.append(synthetic_state(topo, i_line=i_line))
-    assert energy_losses(states, topo) == pytest.approx(0.02)
+    report = reduce_synthetic(topo, states)
+    assert report.total_loss_kwh == pytest.approx(0.02)
+    assert report.loss_kw[:4] == pytest.approx([0.02] * 4)
+    assert not report.loss_kw[4:].any()
+    assert report.current_a[0, 0] == pytest.approx([10.0, 0.0, 0.0, 10.0])
 
 
 def test_losses_refuse_non_converged():
@@ -66,15 +70,21 @@ def test_losses_refuse_non_converged():
     states = [synthetic_state(topo) for _ in range(96)]
     states[37].converged = False
     with pytest.raises(ValueError, match=r"\[37\]"):
-        energy_losses(states, topo)
+        reduce_synthetic(topo, states)
+
+
+def test_reduce_refuses_a_partial_day():
+    topo = two_bus()
+    with pytest.raises(ValueError, match="expected 96 states, got 95"):
+        reduce_synthetic(topo, [synthetic_state(topo) for _ in range(95)])
 
 
 def test_worst_bus_is_the_weak_leaf():
     feeder = load_topology(default_feeder_path())
     demand = np.zeros((96, 19, 3), complex)
     demand[:, 9, 1] = 2000.0 * (1 + 1j * TANPHI)  # only bus 10 loaded
-    states = solved_horizon(feeder, demand)
-    minima, at_worst = worst_bus_voltages(states, feeder)
+    report = reduce_solved(feeder, demand)
+    minima, at_worst = report.min_voltage, report.phase_minima_at_worst_bus
     assert minima["overall"].bus == 10
     assert minima["b"].bus == 10
     assert minima["b"].value_pu < 1.0
@@ -82,20 +92,35 @@ def test_worst_bus_is_the_weak_leaf():
     assert at_worst["b"] == pytest.approx(minima["b"].value_pu)
 
 
+def test_extremes_match_the_solved_states():
+    feeder = load_topology(default_feeder_path())
+    demand = np.zeros((96, 19, 3), complex)
+    demand[:, :, 0] = 800.0
+    demand[30:50, 14, 2] += 2500.0
+    states = solved_horizon(feeder, demand)
+    report = reduce_horizon("test", states, feeder, demand)
+    phase = np.stack([st.phase_voltage_pu(feeder.v_base) for st in states])
+    neutral = np.stack([st.neutral_voltage_pu(feeder.v_base) for st in states])
+    for i, ph in enumerate("abc"):
+        e = report.min_voltage[ph]
+        assert e.value_pu == phase[:, :, i].min() == phase[e.slot, e.bus - 1, i]
+    assert report.min_voltage["overall"].value_pu == phase.min()
+    e = report.max_neutral
+    assert e.value_pu == neutral.max() == neutral[e.slot, e.bus - 1]
+
+
 def test_neutral_voltage_positive_under_unbalance():
     topo = two_bus(z_ph=0.2 + 0.05j)  # z_n = z_ph: neutral drop visible
     demand = np.zeros((96, 2, 3), complex)
     demand[:, 1, 0] = 1500.0  # single phase only
-    states = solved_horizon(topo, demand)
-    assert max_neutral_voltage(states, topo).value_pu > 1e-4
+    assert reduce_solved(topo, demand).max_neutral.value_pu > 1e-4
 
 
 def test_neutral_voltage_zero_when_balanced():
     topo = two_bus(z_ph=0.2 + 0.05j)
     demand = np.zeros((96, 2, 3), complex)
     demand[:, 1, :] = 1200.0 + 300.0j
-    states = solved_horizon(topo, demand)
-    assert max_neutral_voltage(states, topo).value_pu < 1e-10
+    assert reduce_solved(topo, demand).max_neutral.value_pu < 1e-10
 
 
 def test_reduce_horizon_cross_checks():

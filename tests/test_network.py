@@ -147,6 +147,20 @@ def test_negative_resistance_rejected():
         loads_topology("slack_voltage 220\nline 1 2 -0.1 0.0\n")
 
 
+def test_non_finite_impedance_rejected_with_line_number():
+    with pytest.raises(TopologyError, match=r"^<string>:3: line 2->3 has a non-finite impedance$"):
+        loads_topology("slack_voltage 220\nline 1 2 0.1 0.0\nline 2 3 nan 0.1\n")
+
+
+@pytest.mark.parametrize("header", [
+    "slack_voltage nan", "v_base inf", "neutral_scale nan", "transformer_reactance -inf",
+])
+def test_non_finite_header_rejected_with_line_number(header):
+    text = f"slack_voltage 220\n{header}\nline 1 2 0.1 0.0\n"
+    with pytest.raises(FeederFormatError, match=r"^<string>:2: non-finite value '-?(nan|inf)'$"):
+        loads_topology(text)
+
+
 def test_bus_numbering_need_not_follow_tree_depth():
     # parent index above child index is fine; relations are explicit
     topo = loads_topology(
@@ -161,3 +175,7 @@ def test_segments_validate_directly():
         LineSegment(2, 2, 0.1 + 0j, 0.1 + 0j)
     with pytest.raises(TopologyError):
         NetworkTopology(lines=(LineSegment(1, 2, 0.1, 0.1),), slack_voltage_magnitude=-1)
+    with pytest.raises(TopologyError, match="non-finite impedance"):
+        LineSegment(1, 2, 0.1 + 0j, complex("inf"))
+    with pytest.raises(TopologyError, match="finite"):
+        NetworkTopology(lines=(LineSegment(1, 2, 0.1, 0.1),), v_base=float("nan"))
