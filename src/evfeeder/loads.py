@@ -132,8 +132,8 @@ def sample_household_loads(
     q[t] follows from the power factor. sigma_fraction = 0 reproduces the
     curve exactly.
     """
-    if sigma_fraction < 0:
-        raise ValueError("sigma_fraction must be nonnegative")
+    if not 0 <= sigma_fraction < math.inf:
+        raise ValueError(f"sigma_fraction must be in [0, inf), got {sigma_fraction}")
     rng = np.random.default_rng(seed)
     base = curve.p_base
     loads = []
@@ -179,8 +179,8 @@ class FleetSpec:
     charge_power_w: float = DEFAULT_CHARGE_POWER_W
 
     def __post_init__(self):
-        if self.charge_power_w <= 0:
-            raise ValueError("charge power must be positive")
+        if not 0 < self.charge_power_w < math.inf:
+            raise ValueError(f"charge power {self.charge_power_w} W must be positive and finite")
         seen = set()
         for ev in self.vehicles:
             key = (ev.bus, ev.phase)

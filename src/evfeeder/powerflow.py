@@ -1,14 +1,17 @@
 """Unbalanced four-wire load flow for one time slot.
 
-Two solvers with the same contract:
+One fixed-point loop, :func:`_fixed_point`, with two network steps. Every
+iteration draws the constant-PQ load currents at the present voltages and
+hands them to a step that returns new voltages and line currents, until the
+largest voltage change falls under the tolerance:
 
-* :func:`solve_sweep` -- backward-forward sweep over the feeder tree. The
-  backward pass aggregates load currents leaf-to-root into line currents,
-  the forward pass re-derives voltages root-to-leaf from the line drops,
-  repeated until the largest voltage change falls under the tolerance.
-* :func:`solve_direct` -- testing oracle. Assembles the full complex nodal
-  admittance system over all (bus, wire) nodes and repeats dense linear
-  solves against the same load-current updates.
+* :func:`solve_sweep` -- the step is a backward-forward sweep over the
+  feeder tree. The backward pass aggregates load currents leaf-to-root into
+  line currents, the forward pass re-derives voltages root-to-leaf from the
+  line drops.
+* :func:`solve_direct` -- testing oracle. The step is a dense linear solve
+  of the full complex nodal admittance system over all (bus, wire) nodes,
+  sharing no code with the tree walk.
 
 Loads are constant-PQ and connect each phase to the local neutral:
 ``i_load = conj((p + jq) / (v_phase - v_neutral))``. Each phase load current
@@ -119,6 +122,40 @@ def _injection_currents(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return drawn
 
 
+def _fixed_point(
+    topology: NetworkTopology,
+    injections,
+    tolerance: float | None,
+    max_iterations: int,
+    step,
+) -> NetworkState:
+    """Iterate ``step(drawn, v) -> (v_new, i_line)`` from the slack phasors
+    until the largest voltage change falls under the tolerance."""
+    s = _as_injection_array(topology, injections)
+    tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    v = np.tile(slack_voltages(topology), (topology.n_buses, 1))
+    for iterations in range(1, max_iterations + 1):
+        _check_floor(v[:, :3] - v[:, 3:4], topology, iterations)
+        drawn = _injection_currents(s, v)
+        v_new, i_line = step(drawn, v)
+        dv = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if dv < tol:
+            break
+    return NetworkState(
+        v=v,
+        i_line=i_line,
+        i_load=drawn[:, :3].copy(),
+        converged=dv < tol,
+        iterations=iterations,
+        max_dv=dv,
+    )
+
+
 def solve_sweep(
     topology: NetworkTopology,
     injections,
@@ -134,50 +171,29 @@ def solve_sweep(
     ``converged=False``; a voltage collapsing under the floor raises
     InfeasibleInjectionError.
     """
-    s = _as_injection_array(topology, injections)
-    tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    n = topology.n_buses
-    frm, _, z = topology.line_arrays
-    parent_line = topology.parent_line_index
-    order = [b - 1 for b in topology.sweep_order]
-
-    v = np.tile(slack_voltages(topology), (n, 1))
+    _, _, z = topology.line_arrays
+    # (line, parent bus, child bus), root first; plain ints index numpy rows
+    # faster than elements of the line arrays do
+    lines = topology.lines
+    ks = [topology.parent_line_index[b] for b in topology.sweep_order[1:]]
+    walk = [(k, lines[k].from_bus - 1, lines[k].to_bus - 1) for k in ks]
     i_line = np.zeros((len(topology.lines), 4), dtype=complex)
-    drawn = np.zeros((n, 4), dtype=complex)
-    converged = False
-    dv = np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        _check_floor(v[:, :3] - v[:, 3:4], topology, iterations)
-        drawn = _injection_currents(s, v)
+
+    def step(drawn, v):
         # backward: children before parents, so each bus already aggregates
         # its whole subtree when its feeding line is assigned
         acc = drawn.copy()
-        for b in reversed(order[1:]):
-            k = parent_line[b + 1]
-            i_line[k] = acc[b]
-            acc[frm[k]] += acc[b]
+        for k, parent, child in reversed(walk):
+            i_line[k] = acc[child]
+            acc[parent] += acc[child]
         # forward: parents before children
         v_new = np.empty_like(v)
         v_new[0] = v[0]
-        for b in order[1:]:
-            k = parent_line[b + 1]
-            v_new[b] = v_new[frm[k]] - z[k] * i_line[k]
-        dv = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if dv < tol:
-            converged = True
-            break
-    return NetworkState(
-        v=v,
-        i_line=i_line,
-        i_load=drawn[:, :3].copy(),
-        converged=converged,
-        iterations=iterations,
-        max_dv=dv,
-    )
+        for k, parent, child in walk:
+            v_new[child] = v_new[parent] - z[k] * i_line[k]
+        return v_new, i_line
+
+    return _fixed_point(topology, injections, tolerance, max_iterations, step)
 
 
 # Wires of zero impedance (ideal conductors) are clamped to this value when
@@ -193,10 +209,6 @@ def solve_direct(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> NetworkState:
     """Direct nodal-system oracle; same contract as solve_sweep."""
-    s = _as_injection_array(topology, injections)
-    tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     n = topology.n_buses
     frm, to, z = topology.line_arrays
 
@@ -218,35 +230,17 @@ def solve_direct(
     y_ff = y[np.ix_(free, free)]
     y_fs = y[np.ix_(free, slack_nodes)]
     v_slack = slack_voltages(topology)
+    z_clamped = np.where(np.abs(z) < _MIN_WIRE_OHMS, _MIN_WIRE_OHMS, z)
 
-    v = np.tile(v_slack, (n, 1))
-    drawn = np.zeros((n, 4), dtype=complex)
-    converged = False
-    dv = np.inf
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        _check_floor(v[:, :3] - v[:, 3:4], topology, iterations)
-        drawn = _injection_currents(s, v)
+    def step(drawn, v):
         inj = -drawn.reshape(-1)  # current injected INTO the network
         rhs = inj[free] - y_fs @ v_slack
-        v_free = np.linalg.solve(y_ff, rhs)
         v_new = np.empty_like(v)
         v_new[0] = v_slack
-        v_new.reshape(-1)[free] = v_free
-        dv = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if dv < tol:
-            converged = True
-            break
-    i_line = (v[frm] - v[to]) / np.where(np.abs(z) < _MIN_WIRE_OHMS, _MIN_WIRE_OHMS, z)
-    return NetworkState(
-        v=v,
-        i_line=i_line,
-        i_load=drawn[:, :3].copy(),
-        converged=converged,
-        iterations=iterations,
-        max_dv=dv,
-    )
+        v_new.reshape(-1)[free] = np.linalg.solve(y_ff, rhs)
+        return v_new, (v_new[frm] - v_new[to]) / z_clamped
+
+    return _fixed_point(topology, injections, tolerance, max_iterations, step)
 
 
 def kcl_residual(state: NetworkState, topology: NetworkTopology, injections) -> float:
@@ -262,7 +256,7 @@ def kcl_residual(state: NetworkState, topology: NetworkTopology, injections) -> 
     balance = -drawn
     np.add.at(balance, to, state.i_line)     # incoming from parent
     np.subtract.at(balance, frm, state.i_line)  # outgoing toward children
-    return float(np.max(np.abs(balance[1:])))
+    return float(np.max(np.abs(balance[1:]), initial=0.0))
 
 
 def complex_power_balance(

@@ -152,3 +152,25 @@ def test_non_finite_impedance_exits_cleanly(tmp_path, capsys):
     rc = main(["validate", "--feeder", str(feeder)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {feeder}:2: line 1->2 has a non-finite impedance\n"
+
+
+@pytest.mark.parametrize("option, value, name", [
+    ("--tolerance", "nan", "tolerance"),
+    ("--tolerance", "inf", "tolerance"),
+    ("--max-iter", "0", "max_iterations"),
+    ("--sigma", "nan", "sigma_fraction"),
+])
+def test_bad_numeric_option_exits_cleanly(capsys, option, value, name):
+    rc = main(["run", "--strategy", "baseline", option, value])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {name} must be")
+
+
+def test_validate_feeder_without_lines(tmp_path, capsys):
+    feeder = tmp_path / "slack_only.txt"
+    feeder.write_text("slack_voltage 220\n")
+    rc = main(["validate", "--feeder", str(feeder)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"

@@ -80,6 +80,12 @@ def test_zero_sigma_reproduces_curve():
         assert np.array_equal(h.p, curve.p_base)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_bad_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma_fraction"):
+        sample_household_loads(default_base_curve(), CONSUMERS_57, sigma_fraction=sigma)
+
+
 def test_reactive_power_ratio():
     q = reactive_from_active(1000.0, 0.91)
     assert q == pytest.approx(455.6, abs=0.1)
@@ -324,3 +330,6 @@ def test_ev_spec_validation():
         EvSpec(bus=1, phase="a", capacity_kwh=10, arrival=0, departure=1, initial_soc=0.97)
     with pytest.raises(ValueError):
         FleetSpec(vehicles=(), charge_power_w=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FleetSpec(vehicles=(), charge_power_w=bad)

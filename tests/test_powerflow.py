@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,24 +136,30 @@ def random_injections(rng, topology, p_max=5000.0):
 
 
 def test_randomized_oracle_equivalence():
+    # solved at the default tolerance: the KCL residual scales with the last
+    # voltage step, and at 1e-10 pu it reaches 2.5e-9 base currents here
     rng = np.random.default_rng(7)
     checked = 0
     while checked < 50:
         topo = random_radial(rng)
         s = random_injections(rng, topo)
         try:
-            sweep = solve_sweep(topo, s, tolerance=1e-10 * topo.v_base, max_iterations=400)
+            sweep = solve_sweep(topo, s, max_iterations=400)
         except InfeasibleInjectionError:
             continue
         if not sweep.converged:
             continue
-        direct = solve_direct(topo, s, tolerance=1e-10 * topo.v_base, max_iterations=400)
+        direct = solve_direct(topo, s, max_iterations=400)
         assert direct.converged
         assert np.max(np.abs(sweep.v - direct.v)) / topo.v_base < 1e-8
         # currents must agree too, not just the voltages
         i_scale = max(1.0, float(np.max(np.abs(sweep.i_line))))
         assert np.max(np.abs(sweep.i_line - direct.i_line)) / i_scale < 1e-8
         assert np.max(np.abs(sweep.i_load - direct.i_load)) / i_scale < 1e-8
+        for state in (sweep, direct):
+            assert kcl_residual(state, topo, s) < 1e-9 * base_current(topo)
+            p_err, q_err = power_balance_error(state, topo, s)
+            assert p_err < 1e-6 and q_err < 1e-6
         checked += 1
 
 
@@ -209,19 +217,38 @@ def test_power_balance_includes_slack_served_load():
 
 # --- behaviour at the edges ------------------------------------------------
 
-def test_infeasible_injection_raises():
+SOLVERS = pytest.mark.parametrize("solve", [solve_sweep, solve_direct])
+
+
+@SOLVERS
+def test_infeasible_injection_raises(solve):
     topo = two_bus(z_ph=5.0 + 0.5j, z_n=5.0 + 0.5j)
     with pytest.raises(InfeasibleInjectionError, match="bus 2"):
-        solve_sweep(topo, injections(topo, {(2, "a"): 10000}))
+        solve(topo, injections(topo, {(2, "a"): 10000}))
 
 
-def test_non_convergence_returns_state():
+@SOLVERS
+def test_non_convergence_returns_state(solve):
     topo = two_bus()
     s = injections(topo, {(2, "a"): 4000 + 1000j})
-    state = solve_sweep(topo, s, tolerance=1e-13, max_iterations=2)
+    state = solve(topo, s, tolerance=1e-13, max_iterations=2)
     assert not state.converged
     assert state.iterations == 2
     assert state.max_dv > 1e-13
+
+
+@SOLVERS
+@pytest.mark.parametrize("name, value", [
+    ("tolerance", 0.0),
+    ("tolerance", -1.0),
+    ("tolerance", math.nan),
+    ("tolerance", math.inf),
+    ("max_iterations", 0),
+])
+def test_bad_limits_raise(solve, name, value):
+    topo = two_bus()
+    with pytest.raises(ValueError, match=name):
+        solve(topo, injections(topo, {(2, "a"): 1000}), **{name: value})
 
 
 def test_monotone_voltage_drop_in_load(feeder19):
