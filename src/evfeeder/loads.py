@@ -279,12 +279,14 @@ def load_fleet(
 ) -> FleetSpec:
     """Read a fleet file: `bus phase capacity_kwh arrival departure soc_percent`.
 
-    Initial SOC outside the sampling bounds is accepted with a warning: the
-    shipped roster takes precedence over the distribution's bounds.
+    Initial SOC outside the sampling bounds is accepted with one warning per
+    file listing every such row: the shipped roster takes precedence over
+    the distribution's bounds.
     """
     path = Path(fleet_file)
-    dist = EvDistributions()
+    lo, hi = EvDistributions().soc_range
     vehicles = []
+    out_of_range = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
         if not stmt:
@@ -301,13 +303,8 @@ def load_fleet(
             soc = float(parts[5]) / 100.0
         except ValueError as exc:
             raise FleetFormatError(f"{path}:{lineno}: {exc}") from None
-        lo, hi = dist.soc_range
         if not lo <= soc <= hi:
-            warnings.warn(
-                f"{path}:{lineno}: initial SOC {soc:.0%} outside [{lo:.0%}, {hi:.0%}], kept",
-                FleetDataWarning,
-                stacklevel=2,
-            )
+            out_of_range.append(f"line {lineno}: initial SOC {soc:.0%}")
         try:
             vehicles.append(
                 EvSpec(bus=bus, phase=phase, capacity_kwh=capacity,
@@ -316,9 +313,17 @@ def load_fleet(
         except ValueError as exc:
             raise FleetFormatError(f"{path}:{lineno}: {exc}") from None
     try:
-        return FleetSpec(vehicles=tuple(vehicles), charge_power_w=charge_power_w)
+        fleet = FleetSpec(vehicles=tuple(vehicles), charge_power_w=charge_power_w)
     except ValueError as exc:
         raise FleetFormatError(f"{path}: {exc}") from None
+    if out_of_range:
+        warnings.warn(
+            f"{path}: initial SOC outside [{lo:.0%}, {hi:.0%}], kept: "
+            + "; ".join(out_of_range),
+            FleetDataWarning,
+            stacklevel=2,
+        )
+    return fleet
 
 
 def save_fleet(fleet: FleetSpec, path: str | Path) -> None:

@@ -1,8 +1,8 @@
 """Reduction of a solved day into the reported study quantities.
 
-:func:`reduce_horizon` walks the 96 solved slots once. Per slot it records
-the per-unit voltages, the line current magnitudes, the series losses and
-the slack/load energies; the extremes are then located on the recorded
+:func:`reduce_horizon` reads the solved day as slot-major arrays: the
+per-unit voltages, the line current magnitudes, and per slot the series
+losses and the slack/load powers; the extremes are then located on the
 voltages. Losses are resistive I^2 R over every conductor including the
 neutral, integrated over the day. Voltages are reported per unit as
 |v_phase - v_neutral| / v_base for the phases and |v_neutral| / v_base for
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import PHASES, NetworkTopology
-from .powerflow import NetworkState, complex_power_balance
+from .powerflow import HorizonState, slot_chunks
 from .slots import SLOT_HOURS, SLOTS_PER_DAY
 
 
@@ -68,39 +68,52 @@ def _extremum(pu: np.ndarray, arg) -> Extremum:
     return Extremum(value_pu=float(pu[t, b]), bus=int(b) + 1, slot=int(t))
 
 
-def reduce_horizon(
-    scenario: str,
-    states: list[NetworkState],
-    topology: NetworkTopology,
-    injections: np.ndarray,
-) -> ScenarioReport:
-    """Build the full report for one solved day in one pass over its slots.
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each slot's values; row by row, bitwise the per-slot np.sum."""
+    return np.sum(x.reshape(len(x), -1), axis=1)
 
-    `injections` is the (96, n_buses, 3) complex demand frame the states
-    were solved from; it feeds the slack/load energy cross-check. The
-    per-phase minima are independent per phase; ``phase_minima_at_worst_bus``
-    evaluates all three phases at the single overall worst bus, since the
-    two conventions differ on unbalanced feeders.
+
+def reduce_horizon(
+    scenario: str, day: HorizonState, topology: NetworkTopology
+) -> ScenarioReport:
+    """Build the full report for one solved day from its slot-major arrays.
+
+    The per-phase minima are independent per phase;
+    ``phase_minima_at_worst_bus`` evaluates all three phases at the single
+    overall worst bus, since the two conventions differ on unbalanced
+    feeders. The slack and load energies integrate the slack supply and the
+    delivered load slot by slot.
     """
-    bad = [t for t, st in enumerate(states) if not st.converged]
+    bad = np.flatnonzero(~day.converged).tolist()
     if bad:
         raise ValueError(f"slots {bad} are not converged; refusing to reduce")
-    if len(states) != SLOTS_PER_DAY:
-        raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(states)}")
-    r = topology.line_arrays[2].real
+    if len(day) != SLOTS_PER_DAY:
+        raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(day)}")
+    frm, _, z = topology.line_arrays
+    r = z.real
     voltage_pu = np.empty((SLOTS_PER_DAY, topology.n_buses, 4))
     current_a = np.empty((SLOTS_PER_DAY, len(topology.lines), 4))
     loss_kw = np.empty(SLOTS_PER_DAY)
+    slack_va = np.empty(SLOTS_PER_DAY, dtype=complex)
+    load_va = np.empty(SLOTS_PER_DAY, dtype=complex)
+    # in the solver's chunks, which bound the temporaries
+    for c in slot_chunks(SLOTS_PER_DAY, topology):
+        v, i_line, i_load = day.v[c], day.i_line[c], day.i_load[c]
+        u = v[..., :3] - v[..., 3:4]
+        voltage_pu[c, :, :3] = np.abs(u) / topology.v_base
+        voltage_pu[c, :, 3] = np.abs(v[..., 3]) / topology.v_base
+        current_a[c] = np.abs(i_line)
+        loss_kw[c] = _row_sums(current_a[c] ** 2 * r) / 1e3
+        # supplied through the slack's lines plus served at the slack bus
+        slack_va[c] = _row_sums(v[:, :1] * np.conj(i_line[:, frm == 0]))
+        slack_va[c] += _row_sums(u[:, 0] * np.conj(i_load[:, 0]))
+        load_va[c] = _row_sums(u * np.conj(i_load))
+    # sequential sums: np.sum over the slots would pair them differently
     slack_wh = 0.0
     load_wh = 0.0
-    for t, st in enumerate(states):
-        voltage_pu[t, :, :3] = st.phase_voltage_pu(topology.v_base)
-        voltage_pu[t, :, 3] = st.neutral_voltage_pu(topology.v_base)
-        current_a[t] = np.abs(st.i_line)
-        loss_kw[t] = np.sum(current_a[t] ** 2 * r) / 1e3
-        bal = complex_power_balance(st, topology, injections[t])
-        slack_wh += bal["slack"].real * SLOT_HOURS
-        load_wh += bal["load"].real * SLOT_HOURS
+    for slack, load in zip(slack_va.real.tolist(), load_va.real.tolist()):
+        slack_wh += slack * SLOT_HOURS
+        load_wh += load * SLOT_HOURS
     minima = {ph: _extremum(voltage_pu[:, :, i], np.argmin) for i, ph in enumerate(PHASES)}
     worst = min(minima.values(), key=lambda e: e.value_pu)
     minima["overall"] = worst

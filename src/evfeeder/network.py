@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -67,9 +68,10 @@ class LineSegment:
 class NetworkTopology:
     """Immutable radial feeder: buses 1..N, N-1 lines, slack at bus 1.
 
-    Derived lookups (bus count, parents, sweep order, line arrays) are
-    computed once and cached; the cached arrays are read-only, so instances
-    are safe to share across concurrent scenario evaluations.
+    Derived lookups (bus count, parents, sweep order, line arrays, sweep
+    schedule) are computed once, on first use, and cached; the cached arrays
+    are read-only, so instances are safe to share across concurrent scenario
+    evaluations.
     """
 
     lines: tuple[LineSegment, ...]
@@ -152,6 +154,49 @@ class NetworkTopology:
         for arr in (frm, to, z):
             arr.flags.writeable = False
         return frm, to, z
+
+    @cached_property
+    def sweep_schedule(self) -> tuple[tuple, tuple]:
+        """Read-only index arrays of the level-scheduled backward-forward sweep.
+
+        forward  -- one ``(lines, parents, children)`` triple per depth level,
+                    root side first: every parent is set before its children
+        backward -- one ``(parents, children)`` pair per (depth level, sibling
+                    rank) group, deepest level first and, within a level,
+                    each parent's last child first
+
+        Bus indices are 0-based. No parent repeats within a group, and adding
+        the groups in order sums every subtree in the order of a reversed
+        depth-first walk: children before parents, last child first.
+        """
+        frm, to, _ = self.line_arrays
+        depth = {SLACK_BUS: 0}
+        for b in self.sweep_order[1:]:
+            depth[b] = depth[self.lines[self.parent_line_index[b]].from_bus] + 1
+        n_children = Counter(ln.from_bus for ln in self.lines)
+        seen: Counter = Counter()
+        levels: dict[int, list[int]] = defaultdict(list)
+        groups: dict[tuple[int, int], list[int]] = defaultdict(list)
+        for k, ln in enumerate(self.lines):
+            seen[ln.from_bus] += 1
+            rank_from_last = n_children[ln.from_bus] - seen[ln.from_bus]
+            levels[depth[ln.to_bus]].append(k)
+            groups[(-depth[ln.to_bus], rank_from_last)].append(k)
+
+        def frozen(*arrays):
+            for arr in arrays:
+                arr.flags.writeable = False
+            return arrays
+
+        forward = tuple(
+            frozen(ks, frm[ks], to[ks])
+            for ks in (np.array(levels[d]) for d in sorted(levels))
+        )
+        backward = tuple(
+            frozen(frm[ks], to[ks])
+            for ks in (np.array(groups[key]) for key in sorted(groups))
+        )
+        return forward, backward
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -28,7 +29,7 @@ from .charging import ChargeSchedule, ZonePlan
 from .loads import FleetSpec, HouseholdLoad
 from .metrics import ScenarioReport
 from .network import PHASES, WIRES, NetworkTopology, load_topology
-from .powerflow import InfeasibleInjectionError, NetworkState
+from .powerflow import HorizonState, InfeasibleInjectionError
 from .slots import SLOTS_PER_DAY, slot_of
 
 __version__ = "0.1.0"
@@ -90,6 +91,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, pick one of {STRATEGIES}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.penetration is not None and not 0 <= self.penetration <= 1:
@@ -162,24 +165,24 @@ def solve_horizon(
     tolerance: float | None = None,
     max_iterations: int = powerflow.DEFAULT_MAX_ITERATIONS,
     strategy: str = "",
-) -> list[NetworkState]:
-    """Solve all 96 slots; abort with attribution on any failed slot."""
-    states = []
-    label = f" under strategy {strategy!r}" if strategy else ""
-    for t in range(SLOTS_PER_DAY):
+) -> HorizonState:
+    """Solve all 96 slots as one batch; abort naming the first failed slot."""
+    day = powerflow.solve_batch(
+        topology, demand, tolerance=tolerance, max_iterations=max_iterations
+    )
+    failed = np.flatnonzero(~day.converged)
+    if failed.size:
+        t = int(failed[0])
+        label = f" under strategy {strategy!r}" if strategy else ""
         try:
-            st = powerflow.solve_sweep(
-                topology, demand[t], tolerance=tolerance, max_iterations=max_iterations
-            )
+            day.check_collapse(t, topology)
         except InfeasibleInjectionError as exc:
             raise SimulationError(f"slot {t}{label}: {exc}") from exc
-        if not st.converged:
-            raise SimulationError(
-                f"slot {t}{label}: no convergence after {st.iterations} iterations "
-                f"(last voltage change {st.max_dv:.3e} V)"
-            )
-        states.append(st)
-    return states
+        raise SimulationError(
+            f"slot {t}{label}: no convergence after {day.iterations[t]} iterations "
+            f"(last voltage change {day.max_dv[t]:.3e} V)"
+        )
+    return day
 
 
 class _Inputs:
@@ -235,14 +238,15 @@ def _run_one(
     )
     if schedule is not None:
         demand = frame + charging.ev_power_frame(schedule, topo)
-    states = solve_horizon(
+    day = solve_horizon(
         topo,
         demand,
         tolerance=cfg.tolerance,
         max_iterations=cfg.max_iterations,
         strategy=strategy,
     )
-    return metrics.reduce_horizon(strategy, states, topo, demand)
+    del demand  # the reduce reads only the solved day
+    return metrics.reduce_horizon(strategy, day, topo)
 
 
 def _aggregate(per_trial: list[dict]) -> dict:

@@ -159,6 +159,7 @@ def test_non_finite_impedance_exits_cleanly(tmp_path, capsys):
     ("--tolerance", "inf", "tolerance"),
     ("--max-iter", "0", "max_iterations"),
     ("--sigma", "nan", "sigma_fraction"),
+    ("--seed", "-1", "seed"),
 ])
 def test_bad_numeric_option_exits_cleanly(capsys, option, value, name):
     rc = main(["run", "--strategy", "baseline", option, value])

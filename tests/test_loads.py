@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ def test_low_soc_rows_warn_but_load(tmp_path):
     with pytest.warns(FleetDataWarning, match="initial SOC 5%"):
         fleet = load_fleet(path)
     assert fleet.vehicles[0].initial_soc == pytest.approx(0.05)
+
+
+def test_shipped_fleet_warns_once_listing_every_row():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_fleet(default_fleet_path())
+    fleet_warnings = [w for w in caught if issubclass(w.category, FleetDataWarning)]
+    assert len(fleet_warnings) == 1
+    message = str(fleet_warnings[0].message)
+    for lineno, soc in ((5, 17), (6, 14), (15, 5), (18, 22), (23, 23)):
+        assert f"line {lineno}: initial SOC {soc}%" in message
 
 
 def test_empty_fleet_file(tmp_path):

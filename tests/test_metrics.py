@@ -3,8 +3,8 @@ import pytest
 
 from evfeeder.metrics import compare_scenarios, format_comparison, reduce_horizon
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
-from evfeeder.powerflow import NetworkState, slack_voltages, solve_sweep
-from evfeeder.scenario import default_feeder_path
+from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages
+from evfeeder.scenario import default_feeder_path, solve_horizon
 
 TANPHI = np.tan(np.arccos(0.91))
 
@@ -26,17 +26,23 @@ def synthetic_state(topology, i_line=None, v=None):
     )
 
 
-def solved_horizon(topology, demand):
-    return [solve_sweep(topology, demand[t]) for t in range(96)]
+def stacked(states):
+    """The HorizonState of a list of per-slot states."""
+    return HorizonState(
+        *(np.stack([getattr(st, f) for st in states]) for f in ("v", "i_line", "i_load")),
+        iterations=np.array([st.iterations for st in states]),
+        max_dv=np.array([st.max_dv for st in states]),
+        converged=np.array([st.converged for st in states]),
+        collapsed=np.zeros(len(states), bool),
+    )
 
 
 def reduce_solved(topology, demand):
-    return reduce_horizon("test", solved_horizon(topology, demand), topology, demand)
+    return reduce_horizon("test", solve_horizon(topology, demand), topology)
 
 
 def reduce_synthetic(topology, states):
-    no_load = np.zeros((96, topology.n_buses, 3), complex)
-    return reduce_horizon("synthetic", states, topology, no_load)
+    return reduce_horizon("synthetic", stacked(states), topology)
 
 
 def test_zero_load_day():
@@ -97,8 +103,8 @@ def test_extremes_match_the_solved_states():
     demand = np.zeros((96, 19, 3), complex)
     demand[:, :, 0] = 800.0
     demand[30:50, 14, 2] += 2500.0
-    states = solved_horizon(feeder, demand)
-    report = reduce_horizon("test", states, feeder, demand)
+    states = solve_horizon(feeder, demand)
+    report = reduce_horizon("test", states, feeder)
     phase = np.stack([st.phase_voltage_pu(feeder.v_base) for st in states])
     neutral = np.stack([st.neutral_voltage_pu(feeder.v_base) for st in states])
     for i, ph in enumerate("abc"):
@@ -128,8 +134,7 @@ def test_reduce_horizon_cross_checks():
     demand = np.zeros((96, 19, 3), complex)
     demand[:, :, :] = 500.0 * (1 + 1j * TANPHI)
     demand[40:60, 9, 1] += 3000.0
-    states = solved_horizon(feeder, demand)
-    report = reduce_horizon("test", states, feeder, demand)
+    report = reduce_solved(feeder, demand)
     # slack energy accounts for delivered load plus series losses
     assert report.slack_energy_kwh == pytest.approx(
         report.load_energy_kwh + report.total_loss_kwh, rel=1e-9
@@ -141,7 +146,7 @@ def test_reduce_horizon_cross_checks():
     # adding load can only push the minimum voltage down and the losses up
     lighter = demand.copy()
     lighter[40:60, 9, 1] -= 3000.0
-    light_report = reduce_horizon("light", solved_horizon(feeder, lighter), feeder, lighter)
+    light_report = reduce_solved(feeder, lighter)
     assert light_report.total_loss_kwh < report.total_loss_kwh
     assert light_report.min_voltage["overall"].value_pu >= report.min_voltage["overall"].value_pu
 

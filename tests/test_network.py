@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from evfeeder.network import (
@@ -62,6 +63,23 @@ def test_line_arrays_follow_lines_and_are_read_only(feeder19):
         assert (frm[k] + 1, to[k] + 1) == (ln.from_bus, ln.to_bus)
         assert list(z[k]) == [ln.z_phase] * 3 + [ln.z_neutral]
     for arr in (frm, to, z):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_sweep_schedule_is_cached_read_only_and_lazy():
+    topo = load_topology(default_feeder_path())
+    assert "sweep_schedule" not in vars(topo)  # built on first use, not at load
+    forward, backward = topo.sweep_schedule
+    assert topo.sweep_schedule is topo.sweep_schedule
+    assert (len(forward), len(backward)) == (7, 16)
+    frm, to, _ = topo.line_arrays
+    # every line once per pass; no parent twice in one backward group
+    assert sorted(np.concatenate([lines for lines, _, _ in forward])) == list(range(18))
+    assert sorted(np.concatenate([children for _, children in backward])) == sorted(to)
+    for parents, _ in backward:
+        assert len(set(parents.tolist())) == len(parents)
+    for arr in [a for level in forward for a in level] + [a for g in backward for a in g]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 

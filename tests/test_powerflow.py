@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
 from evfeeder.powerflow import (
+    DEFAULT_TOLERANCE_PU,
+    VOLTAGE_FLOOR_PU,
     InfeasibleInjectionError,
+    NetworkState,
     base_current,
     complex_power_balance,
     kcl_residual,
     power_balance_error,
     slack_voltages,
+    solve_batch,
     solve_direct,
     solve_sweep,
 )
@@ -303,3 +309,153 @@ def test_slack_injections_served_without_network_flow():
     assert np.all(state.i_line == 0)
     assert np.array_equal(state.v[1], slack_voltages(topo))
     assert state.i_load[0, 1] != 0
+
+
+# --- the batch against the per-bus walk ----------------------------------
+
+def walk_sweep(topology, s, max_iterations=100):
+    """One slot by the sequential per-bus depth-first sweep, the reference the
+    level-scheduled batch must equal bit for bit. None when it collapses."""
+    _, _, z = topology.line_arrays
+    lines = topology.lines
+    ks = [topology.parent_line_index[b] for b in topology.sweep_order[1:]]
+    walk = [(k, lines[k].from_bus - 1, lines[k].to_bus - 1) for k in ks]
+    tol = DEFAULT_TOLERANCE_PU * topology.v_base
+    v = np.tile(slack_voltages(topology), (topology.n_buses, 1))
+    i_line = np.zeros((len(lines), 4), dtype=complex)
+    for iterations in range(1, max_iterations + 1):
+        u = v[:, :3] - v[:, 3:4]
+        if np.min(np.abs(u)) < VOLTAGE_FLOOR_PU * topology.v_base:
+            return None
+        i_load = np.conj(s / u)
+        acc = np.empty((topology.n_buses, 4), dtype=complex)
+        acc[:, :3] = i_load
+        acc[:, 3] = -i_load.sum(axis=1)
+        for k, parent, child in reversed(walk):
+            i_line[k] = acc[child]
+            acc[parent] += acc[child]
+        v_new = np.empty_like(v)
+        v_new[0] = v[0]
+        for k, parent, child in walk:
+            v_new[child] = v_new[parent] - z[k] * i_line[k]
+        dv = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if dv < tol:
+            break
+    return NetworkState(v, i_line, i_load, dv < tol, iterations, dv)
+
+
+def assert_same_state(got, want):
+    """Bit-for-bit equal arrays, iteration counts and last voltage changes."""
+    for name in ("v", "i_line", "i_load"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.converged, got.iterations, got.max_dv) == (
+        want.converged, want.iterations, want.max_dv
+    )
+
+
+def test_batch_matches_the_per_bus_walk():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        topo = random_radial(rng, max_buses=12)
+        s = np.stack([random_injections(rng, topo, p_max=1500.0) for _ in range(5)])
+        batch = solve_batch(topo, s)
+        for t, state in enumerate(batch):
+            want = walk_sweep(topo, s[t])
+            assert batch.collapsed[t] == (want is None)
+            if want is not None:
+                assert_same_state(state, want)
+
+
+def test_batch_state_views_its_arrays(feeder19):
+    s = np.stack([household_frame_19(feeder19, w) for w in (0.0, 300.0, 700.0)])
+    batch = solve_batch(feeder19, s)
+    states = list(batch)
+    assert len(batch) == len(states) == 3
+    for t, state in enumerate(states):
+        assert isinstance(state, NetworkState)
+        assert np.shares_memory(state.v, batch.v)
+        assert state.v.tobytes() == batch[t].v.tobytes()
+        assert state.iterations == batch.iterations[t]
+    assert states[0].iterations == 1 < states[1].iterations < states[2].iterations
+
+
+def test_batch_rejects_bad_shapes(feeder19):
+    with pytest.raises(ValueError, match=r"shape \(slots, 19, 3\)"):
+        solve_batch(feeder19, np.zeros((19, 3)))
+    with pytest.raises(ValueError, match=r"shape \(19, 3\)"):
+        solve_sweep(feeder19, np.zeros((2, 19, 3)))
+
+
+# --- properties on random radial feeders ----------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_buses=st.integers(2, 10),
+    n_slots=st.integers(1, 6),
+    load=st.floats(0.05, 1.0),
+)
+def test_batched_slots_match_oracle_and_physics(seed, n_buses, n_slots, load):
+    rng = np.random.default_rng(seed)
+    topo = random_radial(rng, n_buses)
+    s = np.stack([random_injections(rng, topo, p_max=5000.0 * load) for _ in range(n_slots)])
+    batch = solve_batch(topo, s, max_iterations=400)
+    assert np.all(np.isfinite(batch.v))
+    for t, state in enumerate(batch):
+        if batch.collapsed[t]:
+            with pytest.raises(InfeasibleInjectionError):
+                solve_sweep(topo, s[t], max_iterations=400)
+            continue
+        assert_same_state(state, solve_sweep(topo, s[t], max_iterations=400))
+        if not state.converged:
+            continue
+        direct = solve_direct(topo, s[t], max_iterations=400)
+        assert direct.converged
+        assert np.max(np.abs(state.v - direct.v)) / topo.v_base < 1e-8
+        assert kcl_residual(state, topo, s[t]) < 1e-9 * base_current(topo)
+        p_err, q_err = power_balance_error(state, topo, s[t])
+        assert p_err < 1e-6 and q_err < 1e-6
+
+
+def loop_resistance(topology):
+    """Phase plus neutral series resistance from the slack to each bus."""
+    frm, _, z = topology.line_arrays
+    r = np.zeros(topology.n_buses)
+    for b in topology.sweep_order[1:]:
+        k = topology.parent_line_index[b]
+        r[b - 1] = r[frm[k]] + z[k, 0].real + z[k, 3].real
+    return r
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_buses=st.integers(2, 10),
+    n_slots=st.integers(1, 6),
+    overload=st.floats(1.01, 100.0),
+    pf=st.floats(0.85, 1.0),
+)
+def test_infeasible_slots_collapse(seed, n_buses, n_slots, overload, pf):
+    # A lone phase load behind a loop of resistance R receives at most
+    # V^2 / (2 R) from the slack at a lagging power factor, whatever the
+    # reactances; past that bound no solution exists.
+    rng = np.random.default_rng(seed)
+    topo = random_radial(rng, n_buses)
+    s = np.zeros((n_slots, topo.n_buses, 3), dtype=complex)
+    slot = int(rng.integers(n_slots))
+    bus = int(rng.integers(1, topo.n_buses))
+    bound = topo.slack_voltage_magnitude ** 2 / (2 * loop_resistance(topo)[bus])
+    s[slot, bus, int(rng.integers(3))] = overload * bound * (1 + 1j * math.tan(math.acos(pf)))
+    batch = solve_batch(topo, s)
+    assert np.all(np.isfinite(batch.v))
+    assert batch.collapsed.tolist() == [t == slot for t in range(n_slots)]
+    with pytest.raises(InfeasibleInjectionError, match="fell to") as caught:
+        batch.check_collapse(slot, topo)
+    with pytest.raises(InfeasibleInjectionError) as alone:
+        solve_sweep(topo, s[slot])
+    assert str(caught.value) == str(alone.value)
+    assert batch.converged.tolist() == [t != slot for t in range(n_slots)]

@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
 from evfeeder.metrics import compare_scenarios
+from evfeeder.powerflow import InfeasibleInjectionError, slot_chunks, solve_sweep
 from evfeeder.scenario import (
     STRATEGIES,
     ScenarioConfig,
     SimulationError,
+    _Inputs,
     build_schedule,
     consumers_of,
     default_feeder_path,
@@ -19,11 +22,14 @@ from evfeeder.scenario import (
     read_voltages_csv,
     run_scenario,
     run_sweep,
+    solve_horizon,
     trial_seeds,
     validate,
     write_report_files,
 )
-from evfeeder.network import load_topology
+from evfeeder.network import LineSegment, NetworkTopology, load_topology
+
+from test_powerflow import assert_same_state, random_injections, random_radial, walk_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
 
@@ -234,6 +240,9 @@ def test_config_validation():
         ScenarioConfig(trials=0)
     with pytest.raises(ValueError, match="penetration"):
         ScenarioConfig(penetration=1.5)
+    for seed in (-1, 1.5, "1"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ScenarioConfig(seed=seed)
 
 
 def test_comparison_against_uncontrolled(sweep_reports):
@@ -284,3 +293,69 @@ def test_multi_trial_sweep_aggregates_and_isolation(tmp_path):
         assert all(v == pytest.approx(values[0], rel=1e-9) for v in values)
     summary = json.loads((tmp_path / "semismart" / "summary.json").read_text())
     assert summary["trials"] == 2
+
+
+# --- the day as one batch ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed1_days():
+    """Each strategy's demand frame in the first trial of seed 1."""
+    inputs = _Inputs(ScenarioConfig(seed=1).resolved())
+    seeds = trial_seeds(1, 1)[0]
+    frame = household_frame(inputs.households_for_trial(seeds["household"]), inputs.topology)
+    fleet = inputs.fleet_for_trial(seeds["fleet"])
+    days = {}
+    for strategy in STRATEGIES:
+        schedule = build_schedule(strategy, fleet, zone_plan=inputs.zone_plan)
+        ev = 0 if schedule is None else ev_power_frame(schedule, inputs.topology)
+        days[strategy] = frame + ev
+    return inputs.topology, days
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_solve_horizon_matches_single_slot_solves(strategy, seed1_days):
+    topo, days = seed1_days
+    day = solve_horizon(topo, days[strategy])
+    assert len(day) == 96
+    for t, state in enumerate(day):
+        assert_same_state(state, solve_sweep(topo, days[strategy][t]))
+        assert_same_state(state, walk_sweep(topo, days[strategy][t]))
+
+
+def test_solve_horizon_spanning_chunks_matches_single_slot_solves():
+    rng = np.random.default_rng(5)
+    wide = random_radial(rng, n_buses=400)
+    topo = NetworkTopology(lines=tuple(
+        LineSegment(ln.from_bus, ln.to_bus, ln.z_phase / 100, ln.z_neutral / 100)
+        for ln in wide.lines
+    ))
+    demand = np.stack([random_injections(rng, topo, p_max=300.0) for _ in range(96)])
+    assert len(slot_chunks(96, topo)) >= 2
+    day = solve_horizon(topo, demand)
+    for t, state in enumerate(day):
+        assert_same_state(state, solve_sweep(topo, demand[t]))
+
+
+def test_solve_horizon_names_the_first_collapsed_slot(seed1_days):
+    topo, days = seed1_days
+    demand = days["baseline"].copy()
+    demand[5, 9, 1] += 6000.0
+    demand[8, 9, 1] += 60000.0  # collapses in an earlier iteration than slot 5
+    with pytest.raises(InfeasibleInjectionError) as alone:
+        solve_sweep(topo, demand[5])
+    with pytest.raises(SimulationError) as caught:
+        solve_horizon(topo, demand, strategy="timer")
+    assert str(caught.value) == f"slot 5 under strategy 'timer': {alone.value}"
+    assert isinstance(caught.value.__cause__, InfeasibleInjectionError)
+
+
+def test_solve_horizon_names_the_first_unconverged_slot(seed1_days):
+    topo, days = seed1_days
+    alone = solve_sweep(topo, days["uncontrolled"][0], max_iterations=2)
+    assert not alone.converged
+    with pytest.raises(SimulationError) as caught:
+        solve_horizon(topo, days["uncontrolled"], max_iterations=2)
+    assert str(caught.value) == (
+        f"slot 0: no convergence after 2 iterations "
+        f"(last voltage change {alone.max_dv:.3e} V)"
+    )
