@@ -74,21 +74,22 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def reduce_horizon(
-    scenario: str, day: HorizonState, topology: NetworkTopology
+    scenario: str, day: HorizonState, topology: NetworkTopology, slots: np.ndarray
 ) -> ScenarioReport:
     """Build the full report for one solved day from its slot-major arrays.
 
-    The per-phase minima are independent per phase;
+    ``slots`` indexes the day's 96 slots in ``day``, which may hold a whole
+    trial's batch. The per-phase minima are independent per phase;
     ``phase_minima_at_worst_bus`` evaluates all three phases at the single
     overall worst bus, since the two conventions differ on unbalanced
     feeders. The slack and load energies integrate the slack supply and the
     delivered load slot by slot.
     """
-    bad = np.flatnonzero(~day.converged).tolist()
+    bad = np.flatnonzero(~day.converged[slots]).tolist()
     if bad:
         raise ValueError(f"slots {bad} are not converged; refusing to reduce")
-    if len(day) != SLOTS_PER_DAY:
-        raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(day)}")
+    if len(slots) != SLOTS_PER_DAY:
+        raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(slots)}")
     frm, _, z = topology.line_arrays
     r = z.real
     voltage_pu = np.empty((SLOTS_PER_DAY, topology.n_buses, 4))
@@ -96,9 +97,9 @@ def reduce_horizon(
     loss_kw = np.empty(SLOTS_PER_DAY)
     slack_va = np.empty(SLOTS_PER_DAY, dtype=complex)
     load_va = np.empty(SLOTS_PER_DAY, dtype=complex)
-    # in the solver's chunks, which bound the temporaries
+    # gathered in the solver's chunks, which bound the temporaries
     for c in slot_chunks(SLOTS_PER_DAY, topology):
-        v, i_line, i_load = day.v[c], day.i_line[c], day.i_load[c]
+        v, i_line, i_load = day.v[slots[c]], day.i_line[slots[c]], day.i_load[slots[c]]
         u = v[..., :3] - v[..., 3:4]
         voltage_pu[c, :, :3] = np.abs(u) / topology.v_base
         voltage_pu[c, :, 3] = np.abs(v[..., 3]) / topology.v_base

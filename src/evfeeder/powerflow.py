@@ -47,10 +47,10 @@ S_BASE_VA = 1000.0
 DEFAULT_TOLERANCE_PU = 1e-12
 DEFAULT_MAX_ITERATIONS = 100
 VOLTAGE_FLOOR_PU = 0.5
-# Bus-slots (slots x buses) iterated together: a whole 96-slot day of a
-# 19-bus feeder, 8 slots of a 2000-bus one. On a 2000-bus day, 8192 and 16384
-# peaked at 103 MB, 32768 at 114 MB; 2048 (one slot) solved the day about
-# 1.7x slower than 16384.
+# Bus-slots (slots x buses) iterated together: 862 slots of a 19-bus feeder,
+# so a five-strategy trial's ~245 distinct rows fit one chunk; 8 slots of a
+# 2000-bus one. On a 2000-bus day, 8192 and 16384 peaked at 103 MB, 32768 at
+# 114 MB; 2048 (one slot) solved the day about 1.7x slower than 16384.
 CHUNK_BUS_SLOTS = 16384
 
 # slack phasors: phases at 0, -120, +120 degrees, neutral at zero
@@ -221,7 +221,7 @@ def _fixed_point(
     floor = VOLTAGE_FLOOR_PU * topology.v_base
     for chunk in slot_chunks(len(s), topology):
         slots = np.arange(len(s))[chunk]
-        s_active = s[slots]
+        s_active = s[chunk]
         v = np.empty((len(slots), topology.n_buses, 4), dtype=complex)
         v[:] = slack_voltages(topology)
         for iterations in range(1, max_iterations + 1):
@@ -235,8 +235,9 @@ def _fixed_point(
                 if not len(slots):
                     break
             drawn = _injection_currents(s_active, u)
+            del u  # not held through the step
             v_new, i_line = step(drawn, v)
-            dv = np.max(np.abs(v_new - v), axis=(1, 2))
+            dv = np.max(np.abs(np.subtract(v_new, v, out=v)), axis=(1, 2))  # v is replaced
             v = v_new
             done = (dv < tol) | (iterations == max_iterations)
             if done.any():

@@ -2,8 +2,12 @@
 
 A scenario is one charging strategy evaluated over the 96-slot day, possibly
 for several Monte Carlo trials that resample household demand. A sweep runs
-all five strategies against bitwise-identical household draws so that any
-difference between the reports isolates the strategy itself.
+all five strategies against bitwise-identical household draws, so any
+difference between the reports isolates the strategy. As the strategies differ
+only where an EV charges, a trial solves its distinct demand rows once, in one
+batch: the household row of every slot some strategy leaves without EV power,
+and a strategy's own row where it charges. Each strategy reads its day through
+a (96,) row index into that batch.
 
 Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
@@ -66,9 +70,9 @@ def default_curve_path() -> Path:
 class ScenarioConfig:
     """Resolved inputs of one scenario run; all fields have usable defaults.
 
-    ``fleet_file=None`` together with a penetration samples the fleet
-    instead of loading the shipped roster. ``strategy='baseline'`` ignores
-    the fleet entirely (zero EV frame).
+    A penetration samples the fleet instead of loading a roster, and cannot
+    be combined with ``fleet_file``; with neither, the shipped roster is
+    used. A run of only ``'baseline'`` neither loads nor samples a fleet.
     """
 
     strategy: str = "semismart"
@@ -97,6 +101,8 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
         if self.penetration is not None and not 0 <= self.penetration <= 1:
             raise ValueError("penetration must be in [0, 1]")
+        if self.penetration is not None and self.fleet_file:
+            raise ValueError("penetration samples a fleet and fleet_file loads one; give only one")
 
     def resolved(self) -> "ScenarioConfig":
         cfg = dataclasses.replace(self)
@@ -160,42 +166,50 @@ def build_schedule(
 
 def solve_horizon(
     topology: NetworkTopology,
-    demand: np.ndarray,
+    rows: np.ndarray,
+    days: dict[str, np.ndarray],
     *,
     tolerance: float | None = None,
     max_iterations: int = powerflow.DEFAULT_MAX_ITERATIONS,
-    strategy: str = "",
 ) -> HorizonState:
-    """Solve all 96 slots as one batch; abort naming the first failed slot."""
-    day = powerflow.solve_batch(
-        topology, demand, tolerance=tolerance, max_iterations=max_iterations
+    """Solve a trial's (n_rows, n_buses, 3) demand rows as one batch.
+
+    ``days`` maps each strategy to the (96,) index of its slots' rows. A
+    failed slot aborts the trial, naming the first one in (strategy, slot)
+    order; an empty strategy name is left out of the message.
+    """
+    solved = powerflow.solve_batch(
+        topology, rows, tolerance=tolerance, max_iterations=max_iterations
     )
-    failed = np.flatnonzero(~day.converged)
-    if failed.size:
-        t = int(failed[0])
+    for strategy, index in days.items():
+        failed = np.flatnonzero(~solved.converged[index])
+        if not failed.size:
+            continue
+        t, row = int(failed[0]), int(index[failed[0]])
         label = f" under strategy {strategy!r}" if strategy else ""
         try:
-            day.check_collapse(t, topology)
+            solved.check_collapse(row, topology)
         except InfeasibleInjectionError as exc:
             raise SimulationError(f"slot {t}{label}: {exc}") from exc
         raise SimulationError(
-            f"slot {t}{label}: no convergence after {day.iterations[t]} iterations "
-            f"(last voltage change {day.max_dv[t]:.3e} V)"
+            f"slot {t}{label}: no convergence after {solved.iterations[row]} iterations "
+            f"(last voltage change {solved.max_dv[row]:.3e} V)"
         )
-    return day
+    return solved
 
 
 class _Inputs:
     """Shared, immutable pieces loaded once per run."""
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig, strategies: tuple[str, ...] = STRATEGIES):
         self.cfg = cfg
         self.topology = load_topology(cfg.feeder)
         self.curve = loads.load_base_curve(cfg.curve)
         self.consumers = consumers_of(self.topology)
         self.zone_plan = charging.load_zone_plan(cfg.zones) if cfg.zones else None
+        self.needs_fleet = any(s != "baseline" for s in strategies)
         self.file_fleet = None
-        if cfg.fleet_file is not None:
+        if self.needs_fleet and cfg.fleet_file is not None:
             self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
             n = self.topology.n_buses
             for ev in self.file_fleet.vehicles:
@@ -205,9 +219,9 @@ class _Inputs:
                         f"feeder's {n} buses"
                     )
 
-    def fleet_for_trial(self, fleet_seed: int) -> FleetSpec:
-        if self.file_fleet is not None:
-            return self.file_fleet
+    def fleet_for_trial(self, fleet_seed: int) -> FleetSpec | None:
+        if self.file_fleet is not None or not self.needs_fleet:
+            return self.file_fleet  # None when no strategy charges
         return loads.sample_fleet(
             self.consumers,
             self.cfg.penetration,
@@ -226,27 +240,33 @@ class _Inputs:
         )
 
 
-def _run_one(
-    inputs: _Inputs, strategy: str, frame: np.ndarray, fleet: FleetSpec
-) -> ScenarioReport:
-    """Solve and reduce one strategy's day on a trial's household frame."""
-    cfg = inputs.cfg
-    topo = inputs.topology
-    demand = frame
-    schedule = build_schedule(
-        strategy, fleet, timer_start=cfg.timer_start, zone_plan=inputs.zone_plan
-    )
-    if schedule is not None:
-        demand = frame + charging.ev_power_frame(schedule, topo)
-    day = solve_horizon(
-        topo,
-        demand,
-        tolerance=cfg.tolerance,
-        max_iterations=cfg.max_iterations,
-        strategy=strategy,
-    )
-    del demand  # the reduce reads only the solved day
-    return metrics.reduce_horizon(strategy, day, topo)
+def _trial_rows(inputs: _Inputs, seeds: dict, strategies: tuple) -> tuple[np.ndarray, dict]:
+    """A trial's demand rows to solve, and each strategy's (96,) index into them.
+
+    A slot where a strategy draws no EV power reads the household row, kept once
+    if some strategy reads it; a slot where the strategy charges has its own row.
+    """
+    cfg, topo = inputs.cfg, inputs.topology
+    frame = household_frame(inputs.households_for_trial(seeds["household"]), topo)
+    fleet = inputs.fleet_for_trial(seeds["fleet"])
+    evs = {s: np.zeros(frame.shape) for s in strategies}  # the baseline's stays zero
+    for strategy in strategies:
+        schedule = build_schedule(
+            strategy, fleet, timer_start=cfg.timer_start, zone_plan=inputs.zone_plan
+        )
+        if schedule is not None:
+            evs[strategy] = charging.ev_power_frame(schedule, topo)
+    own = {s: ev.any(axis=(1, 2)) for s, ev in evs.items()}
+    shared = ~np.logical_and.reduce(list(own.values()))
+    ends = np.cumsum([shared.sum()] + [mask.sum() for mask in own.values()])
+    rows = np.empty((ends[-1],) + frame.shape[1:], dtype=complex)
+    rows[: ends[0]] = frame[shared]
+    days = {}
+    for (strategy, mask), start, stop in zip(own.items(), ends, ends[1:]):
+        days[strategy] = np.cumsum(shared) - 1
+        days[strategy][mask] = np.arange(start, stop)
+        np.add(frame[mask], evs[strategy][mask], out=rows[start:stop])
+    return rows, days
 
 
 def _aggregate(per_trial: list[dict]) -> dict:
@@ -272,24 +292,25 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
     summaries and their aggregate in ``extra``.
     """
     cfg = config.resolved()
-    inputs = _Inputs(cfg)
+    inputs = _Inputs(cfg, strategies)
+    topo = inputs.topology
     seeds = trial_seeds(cfg.seed, cfg.trials)
     reports: dict[str, ScenarioReport] = {}
     per_trial: dict[str, list[dict]] = {s: [] for s in strategies}
     for i, sd in enumerate(seeds):
-        frame = household_frame(
-            inputs.households_for_trial(sd["household"]), inputs.topology
-        )
-        # shared by every strategy of the trial; the baseline solves it as is
-        frame.flags.writeable = False
-        fleet = inputs.fleet_for_trial(sd["fleet"])
-        for strategy in strategies:
-            try:
-                report = _run_one(inputs, strategy, frame, fleet)
-            except SimulationError as exc:
-                raise SimulationError(f"trial {i}: {exc}") from None
+        rows, days = _trial_rows(inputs, sd, strategies)
+        try:
+            solved = solve_horizon(
+                topo, rows, days, tolerance=cfg.tolerance, max_iterations=cfg.max_iterations
+            )
+        except SimulationError as exc:
+            raise SimulationError(f"trial {i}: {exc}") from None
+        del rows  # the reduce reads only the solved rows
+        for strategy, index in days.items():
+            report = metrics.reduce_horizon(strategy, solved, topo, index)
             per_trial[strategy].append(report.summary())
             reports.setdefault(strategy, report)
+        del solved  # not held through the next trial's solve
     for strategy, report in reports.items():
         report.extra["per_trial"] = per_trial[strategy]
         report.extra["aggregate"] = _aggregate(per_trial[strategy])
@@ -300,7 +321,7 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
         single = len(strategies) == 1
         for strategy, report in reports.items():
             sub = out if single else out / strategy
-            write_report_files(sub, report, inputs.topology)
+            write_report_files(sub, report, topo)
             _write_json(sub / "summary.json", {
                 "scenario": strategy,
                 "trials": cfg.trials,
@@ -419,22 +440,6 @@ def write_report_files(out: Path, report: ScenarioReport, topology: NetworkTopol
         for k, ln in enumerate(topology.lines) for w, wire in enumerate(WIRES)
     ))
     _write_csv(out / "losses.csv", "slot,loss_kw", [("", (report.loss_kw,))])
-
-
-def read_voltages_csv(path: Path, topology: NetworkTopology) -> np.ndarray:
-    """Reconstruct the (96, n_buses, 4) per-unit voltage profile."""
-    wire_index = {w: i for i, w in enumerate(WIRES)}
-    out = np.full((SLOTS_PER_DAY, topology.n_buses, 4), np.nan)
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "bus,wire,slot,v_pu":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for row in f:
-            bus, wire, slot, v = row.rstrip("\n").split(",")
-            out[int(slot), int(bus) - 1, wire_index[wire]] = float(v)
-    if np.any(np.isnan(out)):
-        raise ValueError(f"{path}: incomplete voltage profile")
-    return out
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:

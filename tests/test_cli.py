@@ -169,6 +169,17 @@ def test_bad_numeric_option_exits_cleanly(capsys, option, value, name):
     assert err[0].startswith(f"error: {name} must be")
 
 
+def test_penetration_with_fleet_file_exits_cleanly(capsys):
+    rc = main(["run", "--strategy", "uncontrolled", "--fleet", str(default_fleet_path()),
+               "--penetration", "0.5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: penetration samples a fleet and fleet_file loads one; give only one\n"
+    )
+
+
 def test_validate_feeder_without_lines(tmp_path, capsys):
     feeder = tmp_path / "slack_only.txt"
     feeder.write_text("slack_voltage 220\n")

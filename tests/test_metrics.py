@@ -7,6 +7,8 @@ from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages
 from evfeeder.scenario import default_feeder_path, solve_horizon
 
 TANPHI = np.tan(np.arccos(0.91))
+SLOTS = np.arange(96)
+ONE_DAY = {"": SLOTS}
 
 
 def two_bus(z_ph=0.1 + 0j, z_n=None):
@@ -38,11 +40,11 @@ def stacked(states):
 
 
 def reduce_solved(topology, demand):
-    return reduce_horizon("test", solve_horizon(topology, demand), topology)
+    return reduce_horizon("test", solve_horizon(topology, demand, ONE_DAY), topology, SLOTS)
 
 
 def reduce_synthetic(topology, states):
-    return reduce_horizon("synthetic", stacked(states), topology)
+    return reduce_horizon("synthetic", stacked(states), topology, np.arange(len(states)))
 
 
 def test_zero_load_day():
@@ -103,8 +105,8 @@ def test_extremes_match_the_solved_states():
     demand = np.zeros((96, 19, 3), complex)
     demand[:, :, 0] = 800.0
     demand[30:50, 14, 2] += 2500.0
-    states = solve_horizon(feeder, demand)
-    report = reduce_horizon("test", states, feeder)
+    states = solve_horizon(feeder, demand, ONE_DAY)
+    report = reduce_horizon("test", states, feeder, SLOTS)
     phase = np.stack([st.phase_voltage_pu(feeder.v_base) for st in states])
     neutral = np.stack([st.neutral_voltage_pu(feeder.v_base) for st in states])
     for i, ph in enumerate("abc"):

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from evfeeder import scenario
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
 from evfeeder.metrics import compare_scenarios
-from evfeeder.powerflow import InfeasibleInjectionError, slot_chunks, solve_sweep
+from evfeeder.powerflow import InfeasibleInjectionError, slot_chunks, solve_batch, solve_sweep
 from evfeeder.scenario import (
     STRATEGIES,
     ScenarioConfig,
@@ -19,7 +20,6 @@ from evfeeder.scenario import (
     default_feeder_path,
     default_fleet_path,
     household_frame,
-    read_voltages_csv,
     run_scenario,
     run_sweep,
     solve_horizon,
@@ -27,7 +27,8 @@ from evfeeder.scenario import (
     validate,
     write_report_files,
 )
-from evfeeder.network import LineSegment, NetworkTopology, load_topology
+from evfeeder.network import WIRES, LineSegment, NetworkTopology, load_topology
+from evfeeder.slots import SLOTS_PER_DAY, slot_of
 
 from test_powerflow import assert_same_state, random_injections, random_radial, walk_sweep
 
@@ -190,6 +191,19 @@ def test_multi_trial_aggregates():
     assert len(set(losses)) == 3  # household noise differs per trial
 
 
+def read_voltages_csv(path, topology):
+    """Reconstruct the (96, n_buses, 4) per-unit voltage profile."""
+    wire_index = {w: i for i, w in enumerate(WIRES)}
+    out = np.full((SLOTS_PER_DAY, topology.n_buses, 4), np.nan)
+    with open(path) as f:
+        assert f.readline() == "bus,wire,slot,v_pu\n"
+        for row in f:
+            bus, wire, slot, v = row.rstrip("\n").split(",")
+            out[int(slot), int(bus) - 1, wire_index[wire]] = float(v)
+    assert not np.any(np.isnan(out)), "incomplete voltage profile"
+    return out
+
+
 def test_voltages_csv_round_trip(tmp_path):
     cfg = ScenarioConfig(strategy="semismart", seed=1, out_dir=tmp_path)
     report = run_scenario(cfg)
@@ -240,6 +254,8 @@ def test_config_validation():
         ScenarioConfig(trials=0)
     with pytest.raises(ValueError, match="penetration"):
         ScenarioConfig(penetration=1.5)
+    with pytest.raises(ValueError, match="penetration samples a fleet and fleet_file"):
+        ScenarioConfig(penetration=0.5, fleet_file=default_fleet_path())
     for seed in (-1, 1.5, "1"):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             ScenarioConfig(seed=seed)
@@ -295,13 +311,15 @@ def test_multi_trial_sweep_aggregates_and_isolation(tmp_path):
     assert summary["trials"] == 2
 
 
-# --- the day as one batch ---------------------------------------------------
+# --- the trial as one batch -------------------------------------------------
 
-@pytest.fixture(scope="module")
-def seed1_days():
-    """Each strategy's demand frame in the first trial of seed 1."""
-    inputs = _Inputs(ScenarioConfig(seed=1).resolved())
-    seeds = trial_seeds(1, 1)[0]
+ONE_DAY = np.arange(SLOTS_PER_DAY)
+
+
+def strategy_days(seed):
+    """Each strategy's demand frame in the first trial of a default sweep."""
+    inputs = _Inputs(ScenarioConfig(seed=seed).resolved())
+    seeds = trial_seeds(seed, 1)[0]
     frame = household_frame(inputs.households_for_trial(seeds["household"]), inputs.topology)
     fleet = inputs.fleet_for_trial(seeds["fleet"])
     days = {}
@@ -312,10 +330,77 @@ def seed1_days():
     return inputs.topology, days
 
 
+@pytest.fixture(scope="module")
+def seed1_days():
+    return strategy_days(1)
+
+
+@pytest.fixture
+def horizon_calls(monkeypatch):
+    """Every scenario.solve_horizon call of the test: (rows, days, solved)."""
+    calls = []
+    solve = scenario.solve_horizon
+
+    def recording(topology, rows, days, **limits):
+        solved = solve(topology, rows, days, **limits)
+        calls.append((rows, days, solved))
+        return solved
+
+    monkeypatch.setattr(scenario, "solve_horizon", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trial_batch_gathers_each_strategys_full_day(seed, horizon_calls):
+    run_sweep(ScenarioConfig(seed=seed))
+    [(_, days, solved)] = horizon_calls
+    assert list(days) == list(STRATEGIES)
+    topo, demand = strategy_days(seed)
+    for strategy, index in days.items():
+        alone = solve_batch(topo, demand[strategy])
+        for name in ("v", "i_line", "i_load", "iterations", "max_dv"):
+            got = getattr(solved, name)[index]
+            assert got.tobytes() == getattr(alone, name).tobytes(), (strategy, name)
+
+
+def test_trial_solves_each_distinct_row_once(horizon_calls):
+    run_sweep(ScenarioConfig(seed=1, trials=2))
+    assert [len(rows) for rows, _, _ in horizon_calls] == [245, 245]
+    for strategy in STRATEGIES:
+        horizon_calls.clear()
+        run_scenario(ScenarioConfig(strategy=strategy, seed=1))
+        assert [len(rows) for rows, _, _ in horizon_calls] == [96]
+
+
+def test_trial_names_the_first_failed_strategy(tmp_path):
+    # one vehicle on the weak leaf: charging from 03:00 the feeder carries it,
+    # from the timer's 19:00 on top of the evening peak it collapses
+    fleet = tmp_path / "fleet.txt"
+    fleet.write_text("10 b 20 03:00 12:00 30\n")
+    kw = dict(seed=1, fleet_file=fleet, charge_power_w=5000.0, timer_start=slot_of("19:00"))
+    for strategy in ("baseline", "uncontrolled"):
+        run_scenario(ScenarioConfig(strategy=strategy, **kw))
+    with pytest.raises(SimulationError) as caught:
+        run_sweep(ScenarioConfig(**kw))
+    assert str(caught.value) == (
+        "trial 0: slot 76 under strategy 'timer': |v_b - v_n| at bus 10 fell to "
+        "106.6 V (< 110.0 V) in iteration 6; the injections exceed what the feeder "
+        "can deliver"
+    )
+
+
+def test_baseline_run_reads_no_fleet():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_scenario(ScenarioConfig(strategy="baseline", seed=1))
+    assert not [w for w in caught if issubclass(w.category, FleetDataWarning)]
+    assert report.total_loss_kwh > 0
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_solve_horizon_matches_single_slot_solves(strategy, seed1_days):
     topo, days = seed1_days
-    day = solve_horizon(topo, days[strategy])
+    day = solve_horizon(topo, days[strategy], {strategy: ONE_DAY})
     assert len(day) == 96
     for t, state in enumerate(day):
         assert_same_state(state, solve_sweep(topo, days[strategy][t]))
@@ -331,7 +416,7 @@ def test_solve_horizon_spanning_chunks_matches_single_slot_solves():
     ))
     demand = np.stack([random_injections(rng, topo, p_max=300.0) for _ in range(96)])
     assert len(slot_chunks(96, topo)) >= 2
-    day = solve_horizon(topo, demand)
+    day = solve_horizon(topo, demand, {"": ONE_DAY})
     for t, state in enumerate(day):
         assert_same_state(state, solve_sweep(topo, demand[t]))
 
@@ -344,9 +429,24 @@ def test_solve_horizon_names_the_first_collapsed_slot(seed1_days):
     with pytest.raises(InfeasibleInjectionError) as alone:
         solve_sweep(topo, demand[5])
     with pytest.raises(SimulationError) as caught:
-        solve_horizon(topo, demand, strategy="timer")
+        solve_horizon(topo, demand, {"timer": ONE_DAY})
     assert str(caught.value) == f"slot 5 under strategy 'timer': {alone.value}"
     assert isinstance(caught.value.__cause__, InfeasibleInjectionError)
+
+
+def test_solve_horizon_names_the_first_failure_in_strategy_order(seed1_days):
+    topo, days = seed1_days
+    rows = days["baseline"].copy()
+    rows[5, 9, 1] += 6000.0
+    rows[8, 9, 1] += 60000.0
+    with pytest.raises(InfeasibleInjectionError) as alone:
+        solve_sweep(topo, rows[8])
+    # neither the lowest failed row (5) nor the lowest failed slot (2) is named
+    zoned, semismart = np.zeros(96, int), np.zeros(96, int)
+    zoned[40], semismart[2] = 8, 5
+    with pytest.raises(SimulationError) as caught:
+        solve_horizon(topo, rows, {"zoned": zoned, "semismart": semismart})
+    assert str(caught.value) == f"slot 40 under strategy 'zoned': {alone.value}"
 
 
 def test_solve_horizon_names_the_first_unconverged_slot(seed1_days):
@@ -354,7 +454,7 @@ def test_solve_horizon_names_the_first_unconverged_slot(seed1_days):
     alone = solve_sweep(topo, days["uncontrolled"][0], max_iterations=2)
     assert not alone.converged
     with pytest.raises(SimulationError) as caught:
-        solve_horizon(topo, days["uncontrolled"], max_iterations=2)
+        solve_horizon(topo, days["uncontrolled"], {"": ONE_DAY}, max_iterations=2)
     assert str(caught.value) == (
         f"slot 0: no convergence after 2 iterations "
         f"(last voltage change {alone.max_dv:.3e} V)"
