@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import loads, powerflow, scenario
 from .metrics import compare_scenarios, format_comparison
 from .scenario import STRATEGIES, ScenarioConfig, SimulationError
@@ -109,9 +111,12 @@ def _cmd_sample(args) -> int:
             curve, consumers, args.sigma, seed=args.seed
         )
         hh_path = out / "households.csv"
-        scenario._write_csv(hh_path, "bus,phase,slot,p_w,q_var", (
-            (f"{h.bus},{h.phase},", (h.p, h.q)) for h in households
-        ))
+        scenario._write_rows(
+            hh_path, "bus,phase,slot,p_w,q_var",
+            [f"{h.bus},{h.phase}," for h in households],
+            np.stack([h.p for h in households], axis=1),
+            np.stack([h.q for h in households], axis=1),
+        )
         print(f"wrote {hh_path}")
     return 0
 

@@ -13,7 +13,7 @@ Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
 ``manifest.json`` that echoes the resolved configuration and the derived
 per-trial seeds, enough to reproduce every output byte (wall-clock metadata
-aside).
+aside). CSV rows are formatted in blocks, one ``%.9g`` template per block.
 """
 
 from __future__ import annotations
@@ -408,38 +408,35 @@ def validate(config: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # file output
 
-def _fmt(x: float) -> str:
-    """Decimal text at 9 significant digits; the stable on-disk format."""
-    return format(float(x), ".9g")
+def _write_rows(path: Path, header: str, keys: list[str], *columns: np.ndarray) -> None:
+    """Write a slot-indexed CSV, key-outer and slot-inner.
 
-
-def _write_csv(path: Path, header: str, keyed) -> None:
-    """Stream a slot-indexed CSV, key-outer and slot-inner.
-
-    ``keyed`` yields ``(key, columns)``: ``key`` is the text that opens each
-    of the key's rows (``""`` for none) and ``columns`` holds one (96,)
-    array per value column. Rows read ``<key><slot>,<value>[,<value>]``.
+    Each column is a (96, len(keys)) array; ``keys[j]`` (``""`` for none, no
+    ``%``) opens key j's rows, which read ``<key><slot>,<value>[,<value>]``.
+    One ``%.9g`` template, the same text as ``format(x, '.9g')``, formats
+    whole keys in blocks of about 1024 rows, bounding the text held at once.
     """
+    cells = ",%.9g" * len(columns)
+    slot_rows = [f"{t}{cells}\n" for t in range(SLOTS_PER_DAY)]  # each row minus its key
+    per_block = max(1, 1024 // SLOTS_PER_DAY)
     with open(path, "w") as f:
         f.write(header + "\n")
-        for key, (first, *rest) in keyed:
-            cells = map(_fmt, first.tolist())
-            for column in rest:
-                cells = map("{},{}".format, cells, map(_fmt, column.tolist()))
-            f.writelines(f"{key}{t},{cell}\n" for t, cell in enumerate(cells))
+        for start in range(0, len(keys), per_block):
+            block = slice(start, start + per_block)
+            template = "".join(key + key.join(slot_rows) for key in keys[block])
+            values = np.stack([column[:, block].T for column in columns], axis=2)
+            f.write(template % tuple(values.ravel().tolist()))
 
 
 def write_report_files(out: Path, report: ScenarioReport, topology: NetworkTopology) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "voltages.csv", "bus,wire,slot,v_pu", (
-        (f"{b + 1},{wire},", (report.voltage_pu[:, b, w],))
-        for b in range(topology.n_buses) for w, wire in enumerate(WIRES)
-    ))
-    _write_csv(out / "currents.csv", "from_bus,to_bus,wire,slot,i_a", (
-        (f"{ln.from_bus},{ln.to_bus},{wire},", (report.current_a[:, k, w],))
-        for k, ln in enumerate(topology.lines) for w, wire in enumerate(WIRES)
-    ))
-    _write_csv(out / "losses.csv", "slot,loss_kw", [("", (report.loss_kw,))])
+    bus_keys = [f"{b},{wire}," for b in topology.buses for wire in WIRES]
+    line_keys = [f"{ln.from_bus},{ln.to_bus},{wire}," for ln in topology.lines for wire in WIRES]
+    _write_rows(out / "voltages.csv", "bus,wire,slot,v_pu", bus_keys,
+                report.voltage_pu.reshape(SLOTS_PER_DAY, -1))
+    _write_rows(out / "currents.csv", "from_bus,to_bus,wire,slot,i_a", line_keys,
+                report.current_a.reshape(SLOTS_PER_DAY, -1))
+    _write_rows(out / "losses.csv", "slot,loss_kw", [""], report.loss_kw[:, None])
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
@@ -465,13 +462,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_comparison_csv(path: Path, table: dict[str, dict[str, float]]) -> None:
+    fields = ("total_loss_kwh", "loss_change_pct", "min_voltage_pu", "min_voltage_delta_pp")
     with open(path, "w") as f:
-        f.write("scenario,total_loss_kwh,loss_change_pct,min_voltage_pu,min_voltage_delta_pp\n")
+        f.write(",".join(("scenario",) + fields) + "\n")
         for name in STRATEGIES:
-            if name not in table:
-                continue
-            row = table[name]
-            f.write(
-                f"{name},{_fmt(row['total_loss_kwh'])},{_fmt(row['loss_change_pct'])},"
-                f"{_fmt(row['min_voltage_pu'])},{_fmt(row['min_voltage_delta_pp'])}\n"
-            )
+            if name in table:
+                f.write("%s,%.9g,%.9g,%.9g,%.9g\n" % (name, *map(table[name].get, fields)))

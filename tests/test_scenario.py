@@ -8,7 +8,7 @@ import pytest
 from evfeeder import scenario
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
-from evfeeder.metrics import compare_scenarios
+from evfeeder.metrics import compare_scenarios, reduce_horizon
 from evfeeder.powerflow import InfeasibleInjectionError, slot_chunks, solve_batch, solve_sweep
 from evfeeder.scenario import (
     STRATEGIES,
@@ -215,6 +215,66 @@ def test_voltages_csv_round_trip(tmp_path):
     assert np.array_equal(back, reformatted)
 
 
+def reference_write_csv(path, header, keyed):
+    """The per-value writer that `_write_rows` replaced: one format() per value.
+
+    ``keyed`` yields ``(key, columns)`` with one (96,) array per value column.
+    """
+    def fmt(x):
+        return format(float(x), ".9g")
+
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for key, (first, *rest) in keyed:
+            cells = map(fmt, first.tolist())
+            for column in rest:
+                cells = map("{},{}".format, cells, map(fmt, column.tolist()))
+            f.writelines(f"{key}{t},{cell}\n" for t, cell in enumerate(cells))
+
+
+def reference_report_files(out, report, topology):
+    out.mkdir()
+    reference_write_csv(out / "voltages.csv", "bus,wire,slot,v_pu", (
+        (f"{b + 1},{wire},", (report.voltage_pu[:, b, w],))
+        for b in range(topology.n_buses) for w, wire in enumerate(WIRES)
+    ))
+    reference_write_csv(out / "currents.csv", "from_bus,to_bus,wire,slot,i_a", (
+        (f"{ln.from_bus},{ln.to_bus},{wire},", (report.current_a[:, k, w],))
+        for k, ln in enumerate(topology.lines) for w, wire in enumerate(WIRES)
+    ))
+    reference_write_csv(out / "losses.csv", "slot,loss_kw", [("", (report.loss_kw,))])
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1.5e-05, 1234567890.0, 1e16, 0.99999999995,
+               np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("n_columns", [1, 2])
+def test_write_rows_matches_per_value_writer_on_edge_values(tmp_path, n_columns):
+    keys = ["1,a,", "1,b,", "2,n,"]
+    columns = [np.resize(np.roll(EDGE_VALUES, c), (SLOTS_PER_DAY, 3)) for c in range(n_columns)]
+    scenario._write_rows(tmp_path / "rows.csv", "key,slot,x", keys, *columns)
+    reference_write_csv(tmp_path / "ref.csv", "key,slot,x",
+                        zip(keys, zip(*(column.T for column in columns))))
+    text = (tmp_path / "rows.csv").read_text()
+    assert len(text.splitlines()) == 1 + 3 * SLOTS_PER_DAY
+    cells = set(text.replace("\n", ",").split(","))
+    assert {"-0", "4.94065646e-324", "1e+16", "inf", "-inf", "nan"} <= cells
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_report_files_match_per_value_writer_on_a_400_bus_feeder(tmp_path):
+    # 1600 voltage keys fill whole blocks of 10 keys; the 1596 current keys
+    # end in a part block
+    topo, demand = wide_feeder_day()
+    day = solve_horizon(topo, demand, {"": ONE_DAY})
+    report = reduce_horizon("uncontrolled", day, topo, ONE_DAY)
+    write_report_files(tmp_path / "rows", report, topo)
+    reference_report_files(tmp_path / "ref", report, topo)
+    for name in ("voltages.csv", "currents.csv", "losses.csv"):
+        assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
 def test_sampled_fleet_mode_runs():
     cfg = ScenarioConfig(strategy="semismart", penetration=0.6, fleet_file=None, seed=2)
     report = run_scenario(cfg)
@@ -407,14 +467,19 @@ def test_solve_horizon_matches_single_slot_solves(strategy, seed1_days):
         assert_same_state(state, walk_sweep(topo, days[strategy][t]))
 
 
-def test_solve_horizon_spanning_chunks_matches_single_slot_solves():
+def wide_feeder_day():
+    """A 400-bus radial feeder, light enough to converge, and a day of demand."""
     rng = np.random.default_rng(5)
     wide = random_radial(rng, n_buses=400)
     topo = NetworkTopology(lines=tuple(
         LineSegment(ln.from_bus, ln.to_bus, ln.z_phase / 100, ln.z_neutral / 100)
         for ln in wide.lines
     ))
-    demand = np.stack([random_injections(rng, topo, p_max=300.0) for _ in range(96)])
+    return topo, np.stack([random_injections(rng, topo, p_max=300.0) for _ in range(96)])
+
+
+def test_solve_horizon_spanning_chunks_matches_single_slot_solves():
+    topo, demand = wide_feeder_day()
     assert len(slot_chunks(96, topo)) >= 2
     day = solve_horizon(topo, demand, {"": ONE_DAY})
     for t, state in enumerate(day):
