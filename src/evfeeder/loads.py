@@ -130,21 +130,20 @@ def sample_household_loads(
 
     p[t] ~ Normal(curve[t], sigma_fraction * curve[t]), clipped at zero;
     q[t] follows from the power factor. sigma_fraction = 0 reproduces the
-    curve exactly.
+    curve exactly. One (consumers, 96) draw, which each returned row views.
     """
     if not 0 <= sigma_fraction < math.inf:
         raise ValueError(f"sigma_fraction must be in [0, inf), got {sigma_fraction}")
-    rng = np.random.default_rng(seed)
-    base = curve.p_base
-    loads = []
-    for bus, phase in consumers:
+    for _, phase in consumers:
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        noise = rng.standard_normal(SLOTS_PER_DAY)
-        p = np.maximum(base + sigma_fraction * base * noise, 0.0)
-        q = reactive_from_active(p, power_factor, leading=leading)
-        loads.append(HouseholdLoad(bus=bus, phase=phase, p=p, q=q))
-    return loads
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((len(consumers), SLOTS_PER_DAY))  # scaled in place
+    p *= sigma_fraction * curve.p_base
+    p += curve.p_base
+    np.maximum(p, 0.0, out=p)
+    q = reactive_from_active(p, power_factor, leading=leading)
+    return [HouseholdLoad(b, ph, p_row, q_row) for (b, ph), p_row, q_row in zip(consumers, p, q)]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ load currents at the present voltages and hands them to a step that returns
 new voltages and line currents. Each slot keeps its own floor check,
 iteration count and convergence test, and leaves the batch as soon as its
 largest voltage change falls under the tolerance, so its arithmetic is the
-same as if it were solved alone. The loop works through the batch in chunks
-of ``CHUNK_BUS_SLOTS`` bus-slots, which bounds its working memory.
+same as if it were solved alone. The loop iterates bus-major, on (bus, slot,
+wire) arrays in chunks of ``CHUNK_BUS_SLOTS`` bus-slots that bound its memory,
+and stores each slot slot-major in a :class:`HorizonState` as it leaves.
 
 * :func:`solve_batch` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
@@ -49,8 +50,8 @@ DEFAULT_MAX_ITERATIONS = 100
 VOLTAGE_FLOOR_PU = 0.5
 # Bus-slots (slots x buses) iterated together: 862 slots of a 19-bus feeder,
 # so a five-strategy trial's ~245 distinct rows fit one chunk; 8 slots of a
-# 2000-bus one. On a 2000-bus day, 8192 and 16384 peaked at 103 MB, 32768 at
-# 114 MB; 2048 (one slot) solved the day about 1.7x slower than 16384.
+# 2000-bus one. Bus-major, perfbench radial2000-run (2 CPUs) at 4096/8192/16384/
+# 32768 took 0.53/0.39/0.32-0.34/0.32-0.33 s a call and peaked at 93/97/94/103 MB.
 CHUNK_BUS_SLOTS = 16384
 
 # slack phasors: phases at 0, -120, +120 degrees, neutral at zero
@@ -104,7 +105,7 @@ class NetworkState:
 
 @dataclass
 class HorizonState:
-    """Solved electrical states of a batch of slots, as slot-major arrays.
+    """Solved states of a batch of slots, stored slot-major by the bus-major loop.
 
     v          -- complex volts, shape (n_slots, n_buses, 4)
     i_line     -- complex amperes, shape (n_slots, n_lines, 4)
@@ -153,9 +154,6 @@ class HorizonState:
             iterations=int(self.iterations[t]),
             max_dv=float(self.max_dv[t]),
         )
-
-    def __iter__(self):
-        return (self[t] for t in range(len(self)))
 
     def check_collapse(self, t: int, topology: NetworkTopology) -> None:
         """Raise InfeasibleInjectionError if slot t fell under the floor."""
@@ -210,7 +208,8 @@ def _fixed_point(
     leaves the batch when its largest voltage change falls under the
     tolerance, when a phase-to-neutral voltage falls under the floor, or
     after `max_iterations`. Slots run in chunks of CHUNK_BUS_SLOTS
-    bus-slots, and each leaves its chunk straight into the returned state.
+    bus-slots, bus-major: the step's arrays are (buses or lines, slots, 4).
+    Each slot leaves its chunk straight into the returned state.
     """
     tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
     if not 0 < tol < np.inf:
@@ -221,34 +220,36 @@ def _fixed_point(
     floor = VOLTAGE_FLOOR_PU * topology.v_base
     for chunk in slot_chunks(len(s), topology):
         slots = np.arange(len(s))[chunk]
-        s_active = s[chunk]
-        v = np.empty((len(slots), topology.n_buses, 4), dtype=complex)
+        s_active = s[chunk].swapaxes(0, 1)
+        v = np.empty((topology.n_buses, len(slots), 4), dtype=complex)
         v[:] = slack_voltages(topology)
         for iterations in range(1, max_iterations + 1):
             u = v[..., :3] - v[..., 3:4]
-            collapsed = np.min(np.abs(u), axis=(1, 2)) < floor
+            # over buses first: one reduction over axes (0, 2) is far slower
+            collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
             if collapsed.any():
-                out.v[slots[collapsed]] = v[collapsed]
+                out.v[slots[collapsed]] = v[:, collapsed].swapaxes(0, 1)
                 out.iterations[slots[collapsed]] = iterations
                 out.collapsed[slots[collapsed]] = True
-                slots, s_active, v, u = (a[~collapsed] for a in (slots, s_active, v, u))
+                slots = slots[~collapsed]
+                s_active, v, u = (a[:, ~collapsed] for a in (s_active, v, u))
                 if not len(slots):
                     break
             drawn = _injection_currents(s_active, u)
             del u  # not held through the step
             v_new, i_line = step(drawn, v)
-            dv = np.max(np.abs(np.subtract(v_new, v, out=v)), axis=(1, 2))  # v is replaced
+            dv = np.abs(np.subtract(v_new, v, out=v)).max(axis=0).max(axis=1)  # v is replaced
             v = v_new
             done = (dv < tol) | (iterations == max_iterations)
             if done.any():
                 leaving = slots[done]
-                out.v[leaving] = v[done]
-                out.i_line[leaving] = i_line[done]
-                out.i_load[leaving] = drawn[done, :, :3]
+                out.v[leaving] = v[:, done].swapaxes(0, 1)
+                out.i_line[leaving] = i_line[:, done].swapaxes(0, 1)
+                out.i_load[leaving] = drawn[:, done, :3].swapaxes(0, 1)
                 out.iterations[leaving] = iterations
                 out.max_dv[leaving] = dv[done]
                 out.converged[leaving] = dv[done] < tol
-                slots, s_active, v = (a[~done] for a in (slots, s_active, v))
+                slots, s_active, v = slots[~done], s_active[:, ~done], v[:, ~done]
                 if not len(slots):
                     break
     return out
@@ -258,19 +259,19 @@ def _sweep_step(topology: NetworkTopology):
     """The level-scheduled backward-forward sweep over a batch of slots."""
     _, to, z = topology.line_arrays
     forward, backward = topology.sweep_schedule
-    forward = [(parents, children, z[lines], lines) for lines, parents, children in forward]
+    forward = [(parents, children, z[lines, None], lines) for lines, parents, children in forward]
 
     def step(drawn, v):
         # backward: each group adds complete subtrees into distinct parents
         acc = drawn.copy()
         for parents, children in backward:
-            acc[:, parents] += acc[:, children]
-        i_line = acc[:, to]
+            acc[parents] += acc[children]
+        i_line = acc[to]
         # forward: a level's parents are set before its children
         v_new = np.empty_like(v)
-        v_new[:, 0] = v[:, 0]
+        v_new[0] = v[0]
         for parents, children, z_level, lines in forward:
-            v_new[:, children] = v_new[:, parents] - z_level * i_line[:, lines]
+            v_new[children] = v_new[parents] - z_level * i_line[lines]
         return v_new, i_line
 
     return step
@@ -333,34 +334,25 @@ def solve_direct(
     n = topology.n_buses
     frm, to, z = topology.line_arrays
 
-    nn = 4 * n
-    y = np.zeros((nn, nn), dtype=complex)
-    for k in range(len(topology.lines)):
-        for w in range(4):
-            zw = z[k, w]
-            if abs(zw) < _MIN_WIRE_OHMS:
-                zw = complex(_MIN_WIRE_OHMS)
-            adm = 1.0 / zw
-            i, j = 4 * frm[k] + w, 4 * to[k] + w
-            y[i, i] += adm
-            y[j, j] += adm
-            y[i, j] -= adm
-            y[j, i] -= adm
-    slack_nodes = np.arange(4)
-    free = np.arange(4, nn)
-    y_ff = y[np.ix_(free, free)]
-    y_fs = y[np.ix_(free, slack_nodes)]
-    v_slack = slack_voltages(topology)
     z_clamped = np.where(np.abs(z) < _MIN_WIRE_OHMS, _MIN_WIRE_OHMS, z)
+    adm = 1.0 / z_clamped
+    i, j = 4 * frm[:, None] + np.arange(4), 4 * to[:, None] + np.arange(4)
+    y = np.zeros((4 * n, 4 * n), dtype=complex)
+    # (line, wire) by (line, wire), its two self and two mutual entries
+    np.add.at(y, (np.stack([i, j, i, j], -1), np.stack([i, j, j, i], -1)),
+              np.stack([adm, adm, -adm, -adm], -1))
+    free = np.arange(4, 4 * n)
+    y_ff = y[np.ix_(free, free)]
+    y_fs = y[:, :4][free]
+    v_slack = slack_voltages(topology)
 
     def step(drawn, v):
-        # the batch's slots are the right-hand sides of one solve
-        inj = -drawn.reshape(len(drawn), -1)  # current injected INTO the network
-        rhs = inj[:, free] - y_fs @ v_slack
-        v_new = np.empty_like(v)
-        v_new[:, 0] = v_slack
-        v_new.reshape(len(v), -1)[:, free] = np.linalg.solve(y_ff, rhs.T).T
-        return v_new, (v_new[:, frm] - v_new[:, to]) / z_clamped
+        # one slot: (n, 1, 4) arrays, whose C order is that of the nodes
+        inj = -drawn.ravel()  # current injected INTO the network
+        v_new = np.empty(v.shape, dtype=complex)  # C order, so reshape is a view
+        v_new[0] = v_slack
+        v_new.reshape(-1)[free] = np.linalg.solve(y_ff, inj[free] - y_fs @ v_slack)
+        return v_new, (v_new[frm] - v_new[to]) / z_clamped[:, None]
 
     batch = _fixed_point(topology, s[None], tolerance, max_iterations, step)
     batch.check_collapse(0, topology)

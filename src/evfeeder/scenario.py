@@ -135,9 +135,12 @@ def household_frame(
 ) -> np.ndarray:
     """Complex (96, n_buses, 3) household demand frame in volt-amperes."""
     frame = np.zeros((SLOTS_PER_DAY, topology.n_buses, 3), dtype=complex)
-    phase_index = {p: i for i, p in enumerate(PHASES)}
-    for h in households:
-        frame[:, h.bus - 1, phase_index[h.phase]] += h.p + 1j * h.q
+    bus = [h.bus - 1 for h in households]
+    phase = [PHASES.index(h.phase) for h in households]
+    # each part in list order, as one consumer at a time would; p + jq at once
+    # would hold two complex temporaries of every consumer's day
+    np.add.at(frame.real, (slice(None), bus, phase), np.stack([h.p for h in households], 1))
+    np.add.at(frame.imag, (slice(None), bus, phase), np.stack([h.q for h in households], 1))
     return frame
 
 
@@ -333,9 +336,8 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
                 {s: r.summary() for s, r in reports.items()}, baseline="uncontrolled"
             )
             _write_comparison_csv(out / "comparison.csv", table)
-            (out / "comparison.txt").write_text(
-                metrics.format_comparison(table, "uncontrolled") + "\n"
-            )
+            with _create(out / "comparison.txt") as f:
+                f.write(metrics.format_comparison(table, "uncontrolled") + "\n")
         _write_json(out / "manifest.json", build_manifest(cfg, seeds))
     return reports
 
@@ -408,6 +410,12 @@ def validate(config: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 # file output
 
+def _create(path: Path):
+    """Open ``path`` as a new file; truncating a just-written one waits on the disk."""
+    path.unlink(missing_ok=True)
+    return open(path, "w")
+
+
 def _write_rows(path: Path, header: str, keys: list[str], *columns: np.ndarray) -> None:
     """Write a slot-indexed CSV, key-outer and slot-inner.
 
@@ -419,7 +427,7 @@ def _write_rows(path: Path, header: str, keys: list[str], *columns: np.ndarray) 
     cells = ",%.9g" * len(columns)
     slot_rows = [f"{t}{cells}\n" for t in range(SLOTS_PER_DAY)]  # each row minus its key
     per_block = max(1, 1024 // SLOTS_PER_DAY)
-    with open(path, "w") as f:
+    with _create(path) as f:
         f.write(header + "\n")
         for start in range(0, len(keys), per_block):
             block = slice(start, start + per_block)
@@ -458,12 +466,13 @@ def build_manifest(cfg: ScenarioConfig, seeds: list[dict[str, int]]) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _create(path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_comparison_csv(path: Path, table: dict[str, dict[str, float]]) -> None:
     fields = ("total_loss_kwh", "loss_change_pct", "min_voltage_pu", "min_voltage_delta_pp")
-    with open(path, "w") as f:
+    with _create(path) as f:
         f.write(",".join(("scenario",) + fields) + "\n")
         for name in STRATEGIES:
             if name in table:

@@ -23,7 +23,13 @@ from evfeeder.loads import (
     truncated_normal,
     truncated_normal_mean,
 )
-from evfeeder.scenario import default_curve_path, default_fleet_path
+from evfeeder.network import load_topology
+from evfeeder.scenario import (
+    default_curve_path,
+    default_feeder_path,
+    default_fleet_path,
+    household_frame,
+)
 from evfeeder.slots import slot_of
 
 CONSUMERS_57 = [(bus, ph) for bus in range(1, 20) for ph in "abc"]
@@ -116,6 +122,38 @@ def test_household_sampling_deterministic():
         assert np.array_equal(ha.q, hb.q)
     c = sample_household_loads(curve, CONSUMERS_57, seed=43)
     assert not np.array_equal(a[0].p, c[0].p)
+
+
+def reference_households(curve, consumers, sigma, leading, seed, n_buses):
+    """One 96-value draw and one frame add per consumer in turn: the loop the
+    whole-array sampler and frame replace. Returns (p, q, frame)."""
+    rng = np.random.default_rng(seed)
+    base = curve.p_base
+    frame = np.zeros((96, n_buses, 3), dtype=complex)
+    p_rows, q_rows = [], []
+    for bus, phase in consumers:
+        p = np.maximum(base + sigma * base * rng.standard_normal(96), 0.0)
+        q = reactive_from_active(p, leading=leading)
+        frame[:, bus - 1, "abc".index(phase)] += p + 1j * q
+        p_rows.append(p)
+        q_rows.append(q)
+    return np.array(p_rows), np.array(q_rows), frame
+
+
+@pytest.mark.parametrize("leading", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_household_sampling_and_frame_match_per_consumer_loop(sigma, leading):
+    # zero-demand slots give p = 0, so a leading pf draws q = -0.0; two
+    # consumers repeat a (bus, phase) and must add in list order
+    topo = load_topology(default_feeder_path())
+    curve = BaseLoadCurve(np.where(np.arange(96) < 8, 0.0, default_base_curve().p_base))
+    consumers = CONSUMERS_57 + [(5, "b"), (1, "a")]
+    households = sample_household_loads(curve, consumers, sigma, seed=7, leading=leading)
+    p, q, frame = reference_households(curve, consumers, sigma, leading, 7, topo.n_buses)
+    assert [(h.bus, h.phase) for h in households] == consumers
+    assert np.array([h.p for h in households]).tobytes() == p.tobytes()
+    assert np.array([h.q for h in households]).tobytes() == q.tobytes()
+    assert household_frame(households, topo).tobytes() == frame.tobytes()
 
 
 # --- EV sampling -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evfeeder import powerflow
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
 from evfeeder.powerflow import (
     DEFAULT_TOLERANCE_PU,
@@ -16,6 +17,7 @@ from evfeeder.powerflow import (
     kcl_residual,
     power_balance_error,
     slack_voltages,
+    slot_chunks,
     solve_batch,
     solve_direct,
     solve_sweep,
@@ -365,6 +367,39 @@ def test_batch_matches_the_per_bus_walk():
             assert batch.collapsed[t] == (want is None)
             if want is not None:
                 assert_same_state(state, want)
+
+
+def test_active_set_across_chunks_matches_the_per_bus_walk(monkeypatch):
+    # Four slots per chunk. Each full chunk mixes slots that converge, collapse
+    # and run out of iterations, so slots leave its active set at different
+    # iterations and the survivors are filtered again and again.
+    rng = np.random.default_rng(3)
+    topo = random_radial(rng, n_buses=8)
+    monkeypatch.setattr(powerflow, "CHUNK_BUS_SLOTS", 4 * topo.n_buses)
+    base = random_injections(rng, topo, p_max=1.0)
+    scales = [10, 2000, 1000, 0, 3000, 300, 1000, 100, 1000, 5000, 10, 2000, 300, 1000]
+    s = np.stack([k * base for k in scales])
+    limits = {"max_iterations": 12}
+    batch = solve_batch(topo, s, **limits)
+    chunks = slot_chunks(len(s), topo)
+    assert len(chunks) == 4
+    outcome = np.where(batch.collapsed, "collapsed", np.where(batch.converged, "converged", "out"))
+    for chunk in chunks[:-1]:
+        assert set(outcome[chunk]) == {"collapsed", "converged", "out"}
+    for t, state in enumerate(batch):
+        want = walk_sweep(topo, s[t], **limits)
+        assert batch.collapsed[t] == (want is None)
+        if want is not None:
+            assert_same_state(state, want)
+            continue
+        alone = solve_batch(topo, s[t:t + 1], **limits)
+        assert alone.collapsed[0]
+        assert_same_state(state, alone[0])
+        with pytest.raises(InfeasibleInjectionError) as caught:
+            batch.check_collapse(t, topo)
+        with pytest.raises(InfeasibleInjectionError) as single:
+            solve_sweep(topo, s[t], **limits)
+        assert str(caught.value) == str(single.value)
 
 
 def test_batch_state_views_its_arrays(feeder19):

@@ -149,6 +149,24 @@ def test_sweep_determinism_byte_identical(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
 
+def test_sweep_rewrites_an_existing_out_dir_with_new_files(tmp_path):
+    # A rerun replaces each file rather than truncating it in place; a hard
+    # link keeps the first run's file, so every rewrite must be a new inode.
+    out, first = tmp_path / "out", tmp_path / "first"
+    run_sweep(ScenarioConfig(seed=7, out_dir=out))
+    files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert len(files) == 5 * 4 + 3
+    for rel in files:
+        (first / rel).parent.mkdir(parents=True, exist_ok=True)
+        (first / rel).hardlink_to(out / rel)
+    run_sweep(ScenarioConfig(seed=7, out_dir=out))
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+    for rel in files:
+        assert not (out / rel).samefile(first / rel), rel
+        if rel.name != "manifest.json":
+            assert (out / rel).read_bytes() == (first / rel).read_bytes(), rel
+
+
 def test_different_seed_changes_outputs(tmp_path):
     run_scenario(ScenarioConfig(strategy="baseline", seed=1, out_dir=tmp_path / "s1"))
     run_scenario(ScenarioConfig(strategy="baseline", seed=2, out_dir=tmp_path / "s2"))
