@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -156,47 +156,54 @@ class NetworkTopology:
         return frm, to, z
 
     @cached_property
-    def sweep_schedule(self) -> tuple[tuple, tuple]:
-        """Read-only index arrays of the level-scheduled backward-forward sweep.
+    def sweep_schedule(self) -> tuple[np.ndarray, tuple, tuple]:
+        """Read-only row order and slices of the level-scheduled backward-forward sweep.
 
-        forward  -- one ``(lines, parents, children)`` triple per depth level,
-                    root side first: every parent is set before its children
-        backward -- one ``(parents, children)`` pair per (depth level, sibling
-                    rank) group, deepest level first and, within a level,
-                    each parent's last child first
+        order    -- (n_buses,) 0-based bus in each row: the slack in row 0,
+                    then the buses by depth, within a depth by (sibling rank)
+                    group in ``backward``'s order, within a group by parent row
+        forward  -- one ``(parent_rows, lo, hi)`` per depth level, root side
+                    first: rows lo..hi-1 hold the level's buses and
+                    parent_rows their parents' rows, all set by earlier levels
+        backward -- one ``(parent_rows, lo, hi)`` per (depth level, sibling
+                    rank) group, deepest level first and, within a level, each
+                    parent's last child first
 
-        Bus indices are 0-based. No parent repeats within a group, and adding
-        the groups in order sums every subtree in the order of a reversed
-        depth-first walk: children before parents, last child first.
+        Every non-slack bus sits in exactly one slice per pass. A group's
+        parent rows are distinct and above its slice, and adding the groups
+        in order sums every subtree in the order of a reversed depth-first
+        walk: children before parents, last child first.
         """
-        frm, to, _ = self.line_arrays
-        depth = {SLACK_BUS: 0}
-        for b in self.sweep_order[1:]:
-            depth[b] = depth[self.lines[self.parent_line_index[b]].from_bus] + 1
-        n_children = Counter(ln.from_bus for ln in self.lines)
-        seen: Counter = Counter()
-        levels: dict[int, list[int]] = defaultdict(list)
+        n = self.n_buses
+        parent, rank, n_children = [0] * n, [0] * n, [0] * n
+        for ln in reversed(self.lines):  # rank counts siblings from the last
+            p, b = ln.from_bus - 1, ln.to_bus - 1
+            parent[b], rank[b] = p, n_children[p]
+            n_children[p] += 1
+        depth = [0] * n
         groups: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for k, ln in enumerate(self.lines):
-            seen[ln.from_bus] += 1
-            rank_from_last = n_children[ln.from_bus] - seen[ln.from_bus]
-            levels[depth[ln.to_bus]].append(k)
-            groups[(-depth[ln.to_bus], rank_from_last)].append(k)
-
-        def frozen(*arrays):
-            for arr in arrays:
-                arr.flags.writeable = False
-            return arrays
-
-        forward = tuple(
-            frozen(ks, frm[ks], to[ks])
-            for ks in (np.array(levels[d]) for d in sorted(levels))
-        )
+        for b in self.sweep_order[1:]:
+            b -= 1
+            depth[b] = depth[parent[b]] + 1
+            groups[depth[b], rank[b]].append(b)
+        row, order, spans = [0] * n, [0], {}
+        for key in sorted(groups):  # a depth's parents have their rows first
+            lo = len(order)
+            for b in sorted(groups[key], key=lambda b: row[parent[b]]):
+                row[b] = len(order)
+                order.append(b)
+            spans[key] = (lo, len(order))
+        parent_rows = np.array([row[parent[b]] for b in order], dtype=int)
+        order = np.array(order, dtype=int)
+        for arr in (order, parent_rows):
+            arr.flags.writeable = False
+        starts = [lo for (_, r), (lo, _) in spans.items() if r == 0] + [n]  # a level per depth
+        forward = tuple((parent_rows[lo:hi], lo, hi) for lo, hi in zip(starts, starts[1:]))
         backward = tuple(
-            frozen(frm[ks], to[ks])
-            for ks in (np.array(groups[key]) for key in sorted(groups))
+            (parent_rows[lo:hi], lo, hi)
+            for _, (lo, hi) in sorted(spans.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
         )
-        return forward, backward
+        return order, forward, backward
 
 
 @dataclass

@@ -12,12 +12,16 @@ and stores each slot slot-major in a :class:`HorizonState` as it leaves.
 
 * :func:`solve_batch` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
-  after Teng's BIBC/BCBV formulation). The backward pass adds load
-  currents leaf-to-root into line currents, one indexed add per (depth
-  level, sibling rank) group; the forward pass re-derives voltages
-  root-to-leaf from the line drops, one gather per depth level. Every sum
-  runs in the order of a sequential depth-first walk, so results do not
-  depend on batch size. :func:`solve_sweep` is its batch of one.
+  after Teng's BIBC/BCBV formulation) on buses renumbered into rows, so
+  that every level and every (depth level, sibling rank) group is one
+  slice of rows. The backward pass adds load currents leaf-to-root, one
+  ``acc[parent_rows] += acc[lo:hi]`` per group, and leaves in each row the
+  current of the line feeding it; the forward pass re-derives voltages
+  root-to-leaf from the line drops, one slice per depth level. The loop
+  puts injections in row order on entry and each slot's results back in
+  bus and line order as it leaves. Every sum runs in the order of a
+  sequential depth-first walk, so results do not depend on batch size.
+  :func:`solve_sweep` is its batch of one.
 * :func:`solve_direct` -- testing oracle, one slot. The step is a dense
   linear solve of the full complex nodal admittance system over all (bus,
   wire) nodes, sharing no code with the tree walk.
@@ -181,11 +185,19 @@ def _as_injection_array(topology: NetworkTopology, injections, batched=False) ->
 
 
 def _injection_currents(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Load currents drawn per (bus, wire) at phase-to-neutral voltages u."""
-    i_load = np.conj(s / u)
+    """Load currents drawn per (bus, wire) at phase-to-neutral voltages u.
+
+    The neutral's is minus the phase currents' sum, added in the order of
+    numpy's sum over a short last axis, ((+0 + a) + b) + c: the same bytes
+    as ``-i_load.sum(axis=-1)``, whose +0 start turns a sum of -0s into +0.
+    """
     drawn = np.empty(u.shape[:-1] + (4,), dtype=complex)
-    drawn[..., :3] = i_load
-    drawn[..., 3] = -i_load.sum(axis=-1)
+    i_load, neutral = drawn[..., :3], drawn[..., 3]
+    np.conjugate(np.divide(s, u, out=i_load), out=i_load)
+    np.add(i_load[..., 0], 0.0, out=neutral)
+    neutral += i_load[..., 1]
+    neutral += i_load[..., 2]
+    np.negative(neutral, out=neutral)
     return drawn
 
 
@@ -201,6 +213,7 @@ def _fixed_point(
     tolerance: float | None,
     max_iterations: int,
     step,
+    order: np.ndarray | None = None,
 ) -> HorizonState:
     """Iterate ``step(drawn, v) -> (v_new, i_line)`` on a (slots, n, 3) batch.
 
@@ -208,8 +221,10 @@ def _fixed_point(
     leaves the batch when its largest voltage change falls under the
     tolerance, when a phase-to-neutral voltage falls under the floor, or
     after `max_iterations`. Slots run in chunks of CHUNK_BUS_SLOTS
-    bus-slots, bus-major: the step's arrays are (buses or lines, slots, 4).
-    Each slot leaves its chunk straight into the returned state.
+    bus-slots, bus-major: the step's arrays are (rows, slots, 4). Rows are
+    buses and lines as numbered, or with `order` the bus in each row, and
+    then row r of i_line is the line feeding the bus in row r + 1. Each slot
+    leaves its chunk straight into the returned state, in bus and line order.
     """
     tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
     if not 0 < tol < np.inf:
@@ -218,9 +233,14 @@ def _fixed_point(
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     out = HorizonState.zeros(len(s), topology)
     floor = VOLTAGE_FLOOR_PU * topology.v_base
+    if order is None:
+        order = bus_rows = line_rows = slice(None)
+    else:
+        bus_rows = np.argsort(order)  # the row of each bus
+        line_rows = bus_rows[topology.line_arrays[1]] - 1
     for chunk in slot_chunks(len(s), topology):
         slots = np.arange(len(s))[chunk]
-        s_active = s[chunk].swapaxes(0, 1)
+        s_active = s[chunk].swapaxes(0, 1)[order]
         v = np.empty((topology.n_buses, len(slots), 4), dtype=complex)
         v[:] = slack_voltages(topology)
         for iterations in range(1, max_iterations + 1):
@@ -228,7 +248,7 @@ def _fixed_point(
             # over buses first: one reduction over axes (0, 2) is far slower
             collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
             if collapsed.any():
-                out.v[slots[collapsed]] = v[:, collapsed].swapaxes(0, 1)
+                out.v[slots[collapsed]] = v[:, collapsed][bus_rows].swapaxes(0, 1)
                 out.iterations[slots[collapsed]] = iterations
                 out.collapsed[slots[collapsed]] = True
                 slots = slots[~collapsed]
@@ -243,9 +263,9 @@ def _fixed_point(
             done = (dv < tol) | (iterations == max_iterations)
             if done.any():
                 leaving = slots[done]
-                out.v[leaving] = v[:, done].swapaxes(0, 1)
-                out.i_line[leaving] = i_line[:, done].swapaxes(0, 1)
-                out.i_load[leaving] = drawn[:, done, :3].swapaxes(0, 1)
+                out.v[leaving] = v[:, done][bus_rows].swapaxes(0, 1)
+                out.i_line[leaving] = i_line[:, done][line_rows].swapaxes(0, 1)
+                out.i_load[leaving] = drawn[:, done, :3][bus_rows].swapaxes(0, 1)
                 out.iterations[leaving] = iterations
                 out.max_dv[leaving] = dv[done]
                 out.converged[leaving] = dv[done] < tol
@@ -256,25 +276,27 @@ def _fixed_point(
 
 
 def _sweep_step(topology: NetworkTopology):
-    """The level-scheduled backward-forward sweep over a batch of slots."""
+    """The level-scheduled backward-forward sweep over a batch of slots, and its row order."""
+    order, forward, backward = topology.sweep_schedule
     _, to, z = topology.line_arrays
-    forward, backward = topology.sweep_schedule
-    forward = [(parents, children, z[lines, None], lines) for lines, parents, children in forward]
+    line_of_bus = np.empty(topology.n_buses, dtype=int)
+    line_of_bus[to] = np.arange(len(to))
+    z_lines = z[line_of_bus[order[1:]], None]  # row r's feeds the bus in row r + 1
+    forward = [(parent_rows, slice(lo, hi), z_lines[lo - 1:hi - 1]) for parent_rows, lo, hi in forward]
 
     def step(drawn, v):
         # backward: each group adds complete subtrees into distinct parents
         acc = drawn.copy()
-        for parents, children in backward:
-            acc[parents] += acc[children]
-        i_line = acc[to]
+        for parent_rows, lo, hi in backward:
+            acc[parent_rows] += acc[lo:hi]
         # forward: a level's parents are set before its children
         v_new = np.empty_like(v)
         v_new[0] = v[0]
-        for parents, children, z_level, lines in forward:
-            v_new[children] = v_new[parents] - z_level * i_line[lines]
-        return v_new, i_line
+        for parent_rows, rows, z_level in forward:
+            np.subtract(v_new[parent_rows], z_level * acc[rows], out=v_new[rows])
+        return v_new, acc[1:]  # a row's subtree current is its line's
 
-    return step
+    return step, order
 
 
 def solve_batch(
@@ -291,7 +313,7 @@ def solve_batch(
     outcome is read from ``converged``, ``collapsed`` and check_collapse.
     """
     s = _as_injection_array(topology, injections, batched=True)
-    return _fixed_point(topology, s, tolerance, max_iterations, _sweep_step(topology))
+    return _fixed_point(topology, s, tolerance, max_iterations, *_sweep_step(topology))
 
 
 def solve_sweep(

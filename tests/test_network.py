@@ -70,16 +70,43 @@ def test_line_arrays_follow_lines_and_are_read_only(feeder19):
 def test_sweep_schedule_is_cached_read_only_and_lazy():
     topo = load_topology(default_feeder_path())
     assert "sweep_schedule" not in vars(topo)  # built on first use, not at load
-    forward, backward = topo.sweep_schedule
+    order, forward, backward = topo.sweep_schedule
     assert topo.sweep_schedule is topo.sweep_schedule
     assert (len(forward), len(backward)) == (7, 16)
     frm, to, _ = topo.line_arrays
-    # every line once per pass; no parent twice in one backward group
-    assert sorted(np.concatenate([lines for lines, _, _ in forward])) == list(range(18))
-    assert sorted(np.concatenate([children for _, children in backward])) == sorted(to)
-    for parents, _ in backward:
-        assert len(set(parents.tolist())) == len(parents)
-    for arr in [a for level in forward for a in level] + [a for g in backward for a in g]:
+    # rows renumber the buses, slack first; each row's parent row is its parent's
+    assert order[0] == 0 and sorted(order) == list(range(19))
+    row = np.argsort(order)
+    parent_row = {row[t]: row[f] for f, t in zip(frm, to)}
+    depth = {0: 0}
+    for r in range(1, 19):
+        depth[r] = depth[parent_row[r]] + 1
+    for name, schedule in (("forward", forward), ("backward", backward)):
+        # every non-slack bus in exactly one slice per pass
+        covered = np.concatenate([np.arange(lo, hi) for _, lo, hi in schedule])
+        assert sorted(covered) == list(range(1, 19)), name
+        for parent_rows, lo, hi in schedule:
+            assert list(parent_rows) == [parent_row[r] for r in range(lo, hi)], name
+            assert max(parent_rows) < lo, name  # parents sit above their slice
+    # forward levels are whole depths, root side first
+    assert [{depth[r] for r in range(lo, hi)} for _, lo, hi in forward] == [
+        {d} for d in range(1, 8)
+    ]
+    # no parent twice in one backward group; groups run deepest first
+    for parent_rows, _, _ in backward:
+        assert len(set(parent_rows.tolist())) == len(parent_rows)
+    group_depths = [{depth[r] for r in range(lo, hi)} for _, lo, hi in backward]
+    assert all(len(d) == 1 for d in group_depths)
+    depths = [d.pop() for d in group_depths]
+    assert depths == sorted(depths, reverse=True) and depths[0] == 7
+    # and each parent adds its children last first, as a reversed walk does
+    added = {}
+    for parent_rows, lo, hi in backward:
+        for p, r in zip(parent_rows, range(lo, hi)):
+            added.setdefault(p, []).append(r)
+    for p, rows in added.items():
+        assert rows == [row[t] for f, t in zip(frm, to) if row[f] == p][::-1]
+    for arr in [order] + [g[0] for g in forward + backward]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 

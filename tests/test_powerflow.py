@@ -315,6 +315,29 @@ def test_slack_injections_served_without_network_flow():
 
 # --- the batch against the per-bus walk ----------------------------------
 
+def test_injection_currents_keep_the_bytes_of_a_numpy_sum():
+    # The neutral current is added by hand in the order of numpy's sum over a
+    # short axis. Zero-load buses and signed-zero parts check its +0 start:
+    # -0 + -0 + -0 is -0, while numpy's sum of them is +0.
+    rng = np.random.default_rng(13)
+    shape = (40, 6, 3)
+    s = rng.uniform(-3000, 3000, shape) + 1j * rng.uniform(-3000, 3000, shape)
+    u = rng.uniform(110, 240, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    parts = s.view(float).reshape(shape + (2,))
+    signed_zero = rng.integers(0, 3, parts.shape)
+    parts[signed_zero == 0] = 0.0
+    parts[signed_zero == 1] = -0.0
+    s[:5] = rng.choice([0.0, -0.0], size=(5, 6, 3, 2)).view(complex)[..., 0]
+    for s_, u_ in ((s, u), (s[:, 0], u[:, 0])):  # a bus-major batch and one slot
+        i_load = np.conj(s_ / u_)
+        want = np.concatenate([i_load, -i_load.sum(axis=-1, keepdims=True)], axis=-1)
+        got = powerflow._injection_currents(s_, u_)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        plain = -(i_load[..., 0] + i_load[..., 1] + i_load[..., 2])
+        assert plain.tobytes() != want[..., 3].copy().tobytes()  # the case is covered
+
+
 def walk_sweep(topology, s, max_iterations=100):
     """One slot by the sequential per-bus depth-first sweep, the reference the
     level-scheduled batch must equal bit for bit. None when it collapses."""
@@ -369,15 +392,12 @@ def test_batch_matches_the_per_bus_walk():
                 assert_same_state(state, want)
 
 
-def test_active_set_across_chunks_matches_the_per_bus_walk(monkeypatch):
-    # Four slots per chunk. Each full chunk mixes slots that converge, collapse
-    # and run out of iterations, so slots leave its active set at different
-    # iterations and the survivors are filtered again and again.
-    rng = np.random.default_rng(3)
-    topo = random_radial(rng, n_buses=8)
+def assert_chunks_match_the_walk(topo, scales, base, monkeypatch):
+    """Solve `scales` times `base` four slots per chunk, where each full chunk
+    mixes slots that converge, collapse and run out of iterations, so slots
+    leave its active set at different iterations and the survivors are
+    filtered again and again; every slot must equal the per-bus walk."""
     monkeypatch.setattr(powerflow, "CHUNK_BUS_SLOTS", 4 * topo.n_buses)
-    base = random_injections(rng, topo, p_max=1.0)
-    scales = [10, 2000, 1000, 0, 3000, 300, 1000, 100, 1000, 5000, 10, 2000, 300, 1000]
     s = np.stack([k * base for k in scales])
     limits = {"max_iterations": 12}
     batch = solve_batch(topo, s, **limits)
@@ -400,6 +420,46 @@ def test_active_set_across_chunks_matches_the_per_bus_walk(monkeypatch):
         with pytest.raises(InfeasibleInjectionError) as single:
             solve_sweep(topo, s[t], **limits)
         assert str(caught.value) == str(single.value)
+
+
+def test_active_set_across_chunks_matches_the_per_bus_walk(monkeypatch):
+    rng = np.random.default_rng(3)
+    topo = random_radial(rng, n_buses=8)
+    base = random_injections(rng, topo, p_max=1.0)
+    scales = [10, 2000, 1000, 0, 3000, 300, 1000, 100, 1000, 5000, 10, 2000, 300, 1000]
+    assert_chunks_match_the_walk(topo, scales, base, monkeypatch)
+
+
+def deep_wide_radial(rng, n_buses):
+    """Random radial feeder with a 12-line spine off the slack and a spine bus
+    of at least six children; labels and line order shuffled, impedances 1/50
+    of random_radial's."""
+    parents = [0] + list(range(1, 12)) + [6] * 5
+    parents += [int(rng.integers(0, c)) for c in range(len(parents) + 1, n_buses)]
+    labels = np.concatenate(([1], rng.permutation(np.arange(2, n_buses + 1))))
+    lines = []
+    for child, parent in enumerate(parents, start=1):
+        z_ph = complex(rng.uniform(0.0005, 1.734), rng.uniform(0.0002, 0.1729)) / 50
+        z_n = complex(rng.uniform(0.0, 1.734), rng.uniform(0.0, 0.1729)) / 50
+        lines.append(LineSegment(int(labels[parent]), int(labels[child]), z_ph, z_n))
+    rng.shuffle(lines)
+    return NetworkTopology(lines=tuple(lines))
+
+
+def test_level_order_on_a_deep_wide_feeder_matches_the_per_bus_walk(monkeypatch):
+    # Row order renumbers every bus of a 220-bus feeder at least 12 levels
+    # deep with a parent of six or more children; shuffled lines vary the
+    # sibling ranks.
+    rng = np.random.default_rng(5)
+    topo = deep_wide_radial(rng, 220)
+    depth = {1: 0}
+    for b in topo.sweep_order[1:]:
+        depth[b] = depth[topo.lines[topo.parent_line_index[b]].from_bus] + 1
+    n_children = np.bincount(topo.line_arrays[0])
+    assert topo.n_buses >= 200 and max(depth.values()) >= 10 and n_children.max() >= 4
+    base = random_injections(rng, topo, p_max=1.0)
+    scales = [10, 1000, 300, 0, 2000, 500, 100, 1500, 700, 200, 3000, 300, 50, 1000]
+    assert_chunks_match_the_walk(topo, scales, base, monkeypatch)
 
 
 def test_batch_state_views_its_arrays(feeder19):
