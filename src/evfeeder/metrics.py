@@ -97,7 +97,7 @@ def reduce_horizon(
     loss_kw = np.empty(SLOTS_PER_DAY)
     slack_va = np.empty(SLOTS_PER_DAY, dtype=complex)
     load_va = np.empty(SLOTS_PER_DAY, dtype=complex)
-    # gathered in the solver's chunks, which bound the temporaries
+    # gathered in chunks of the solver's largest active set, which bound the temporaries
     for c in slot_chunks(SLOTS_PER_DAY, topology):
         v, i_line, i_load = day.v[slots[c]], day.i_line[slots[c]], day.i_load[slots[c]]
         u = v[..., :3] - v[..., 3:4]

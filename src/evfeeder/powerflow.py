@@ -1,16 +1,19 @@
 """Unbalanced four-wire load flow for batches of time slots.
 
 One fixed-point loop, :func:`_fixed_point`, with two network steps. It
-iterates a batch of slots at once; every iteration draws the constant-PQ
-load currents at the present voltages and hands them to a step that returns
-new voltages and line currents. Each slot keeps its own floor check,
-iteration count and convergence test, and leaves the batch as soon as its
-largest voltage change falls under the tolerance, so its arithmetic is the
-same as if it were solved alone. The loop iterates bus-major, on (bus, slot,
-wire) arrays in chunks of ``CHUNK_BUS_SLOTS`` bus-slots that bound its memory,
-and stores each slot slot-major in a :class:`HorizonState` as it leaves.
+iterates many slots at once; every iteration draws the constant-PQ load
+currents at the present voltages and hands them to a step that returns new
+voltages and line currents. Each slot keeps its own floor check, iteration
+count and convergence test, and leaves as soon as its largest voltage change
+falls under the tolerance, so its arithmetic is the same as if it were solved
+alone. The loop reads a stream of batches into one active set of slots: as
+slots leave, the next ones in batch and slot order take their places, up to
+``CHUNK_BUS_SLOTS`` bus-slots and the widest batch fed so far, from at most
+two batches at once. It iterates bus-major, on (bus, slot, wire) arrays,
+stores each slot slot-major in its batch's :class:`HorizonState` as it leaves,
+and yields each batch's state in order once its last slot has left.
 
-* :func:`solve_batch` -- the step is a backward-forward sweep over the
+* :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
   after Teng's BIBC/BCBV formulation) on buses renumbered into rows, so
   that every level and every (depth level, sibling rank) group is one
@@ -21,10 +24,11 @@ and stores each slot slot-major in a :class:`HorizonState` as it leaves.
   puts injections in row order on entry and each slot's results back in
   bus and line order as it leaves. Every sum runs in the order of a
   sequential depth-first walk, so results do not depend on batch size.
-  :func:`solve_sweep` is its batch of one.
-* :func:`solve_direct` -- testing oracle, one slot. The step is a dense
-  linear solve of the full complex nodal admittance system over all (bus,
-  wire) nodes, sharing no code with the tree walk.
+  :func:`solve_batch` is its stream of one batch, and :func:`solve_sweep`
+  that batch's one slot.
+* :func:`solve_direct` -- testing oracle, a stream of one slot. The step is
+  a dense linear solve of the full complex nodal admittance system over all
+  (bus, wire) nodes, sharing no code with the tree walk.
 
 Loads are constant-PQ and connect each phase to the local neutral:
 ``i_load = conj((p + jq) / (v_phase - v_neutral))``. Each phase load current
@@ -40,6 +44,7 @@ they are served directly at its fixed voltage and never touch the network.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +57,11 @@ S_BASE_VA = 1000.0
 DEFAULT_TOLERANCE_PU = 1e-12
 DEFAULT_MAX_ITERATIONS = 100
 VOLTAGE_FLOOR_PU = 0.5
-# Bus-slots (slots x buses) iterated together: 862 slots of a 19-bus feeder,
-# so a five-strategy trial's ~245 distinct rows fit one chunk; 8 slots of a
-# 2000-bus one. Bus-major, perfbench radial2000-run (2 CPUs) at 4096/8192/16384/
-# 32768 took 0.53/0.39/0.32-0.34/0.32-0.33 s a call and peaked at 93/97/94/103 MB.
+# Most bus-slots (slots x buses) in the active set: 862 slots of a 19-bus
+# feeder, above a five-strategy trial's ~245 distinct rows, which then bound the
+# set; 8 slots of a 2000-bus one. Bus-major, with static chunks of this size,
+# perfbench radial2000-run (2 CPUs) at 4096/8192/16384/32768 took 0.53/0.39/
+# 0.32-0.34/0.32-0.33 s a call and peaked at 93/97/94/103 MB.
 CHUNK_BUS_SLOTS = 16384
 
 # slack phasors: phases at 0, -120, +120 degrees, neutral at zero
@@ -207,72 +213,157 @@ def slot_chunks(n_slots: int, topology: NetworkTopology) -> list[slice]:
     return [slice(t, t + size) for t in range(0, n_slots, size)]
 
 
+def _leaving(ids: np.ndarray, mask: np.ndarray, flight: list) -> np.ndarray:
+    """The columns where `mask` is set; with two batches in flight, in the
+    increasing order of their slot ids that _store splits them by."""
+    cols = np.flatnonzero(mask)
+    return cols[np.argsort(ids[cols])] if len(flight) > 1 else cols
+
+
+def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The slots of each array where `keep` is set: slot-indexed 1-d arrays
+    and bus-major (rows, slots, wires) ones. np.compress copies a middle
+    axis about three times as fast as a boolean index does."""
+    return [np.compress(keep, a, axis=0 if a.ndim == 1 else 1) for a in arrays]
+
+
+def _store(flight: list, ids: np.ndarray, values: dict) -> None:
+    """Write leaving slots into the states of their batches in `flight`.
+
+    `ids` are the leaving slots' ids, increasing if they can be of two
+    batches; each value holds one entry per leaving slot along its first axis.
+    """
+    edges = [0, len(ids)]
+    if len(flight) > 1:
+        edges[1:1] = np.searchsorted(ids, [first for _, first, _ in flight[1:]])
+    for batch, lo, hi in zip(flight, edges, edges[1:]):
+        if lo < hi:
+            state, first, _ = batch
+            slots = ids[lo:hi] - first
+            for name, value in values.items():
+                getattr(state, name)[slots] = value[lo:hi]
+            batch[2] -= hi - lo
+
+
 def _fixed_point(
     topology: NetworkTopology,
-    s: np.ndarray,
+    batches: Iterable,
     tolerance: float | None,
     max_iterations: int,
     step,
     order: np.ndarray | None = None,
-) -> HorizonState:
-    """Iterate ``step(drawn, v) -> (v_new, i_line)`` on a (slots, n, 3) batch.
+) -> Iterator[HorizonState]:
+    """Iterate ``step(drawn, v) -> (v_new, i_line)`` on a stream of (slots, n, 3) arrays.
 
-    Every slot starts from the slack phasors and iterates on its own: it
-    leaves the batch when its largest voltage change falls under the
-    tolerance, when a phase-to-neutral voltage falls under the floor, or
-    after `max_iterations`. Slots run in chunks of CHUNK_BUS_SLOTS
-    bus-slots, bus-major: the step's arrays are (rows, slots, 4). Rows are
-    buses and lines as numbered, or with `order` the bus in each row, and
-    then row r of i_line is the line feeding the bus in row r + 1. Each slot
-    leaves its chunk straight into the returned state, in bus and line order.
+    Yields each batch's HorizonState, in feed order, once its last slot has
+    left. Every slot starts from the slack phasors and iterates on its own:
+    it leaves when its largest voltage change falls under the tolerance,
+    when a phase-to-neutral voltage falls under the floor, or after
+    `max_iterations`. One active set holds the slots being iterated,
+    bus-major: the step's arrays are (rows, slots, 4). As slots leave it is
+    refilled in batch and slot order, up to CHUNK_BUS_SLOTS bus-slots and
+    the width of the widest batch fed so far. It holds slots of at most two
+    batches: the next batch is pulled when the set has room, every row of
+    the last one has entered and the one before that has been yielded. Rows
+    are buses and lines as numbered, or with `order` the bus in each row,
+    and then row r of i_line is the line feeding the bus in row r + 1. Each
+    slot leaves straight into its batch's state, in bus and line order.
     """
     tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    out = HorizonState.zeros(len(s), topology)
+    n = topology.n_buses
     floor = VOLTAGE_FLOOR_PU * topology.v_base
+    slack = slack_voltages(topology)
     if order is None:
         order = bus_rows = line_rows = slice(None)
     else:
         bus_rows = np.argsort(order)  # the row of each bus
         line_rows = bus_rows[topology.line_arrays[1]] - 1
-    for chunk in slot_chunks(len(s), topology):
-        slots = np.arange(len(s))[chunk]
-        s_active = s[chunk].swapaxes(0, 1)[order]
-        v = np.empty((topology.n_buses, len(slots), 4), dtype=complex)
-        v[:] = slack_voltages(topology)
-        for iterations in range(1, max_iterations + 1):
-            u = v[..., :3] - v[..., 3:4]
-            # over buses first: one reduction over axes (0, 2) is far slower
-            collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
-            if collapsed.any():
-                out.v[slots[collapsed]] = v[:, collapsed][bus_rows].swapaxes(0, 1)
-                out.iterations[slots[collapsed]] = iterations
-                out.collapsed[slots[collapsed]] = True
-                slots = slots[~collapsed]
-                s_active, v, u = (a[:, ~collapsed] for a in (s_active, v, u))
-                if not len(slots):
+    cap = max(1, CHUNK_BUS_SLOTS // n)
+    batches = iter(batches)
+    # [state, id of its first slot, slots yet to leave] per batch pulled and
+    # not yet yielded, slots numbered in feed order; `feeding` holds the rows
+    # of the last batch yet to enter. Per column of the active set, `ids` holds
+    # the slot's id and `counts` its iterations; `free` lists the columns of
+    # slots that left in the last iteration.
+    flight, feeding, next_id, width = [], None, 0, 0
+    ids = counts = free = np.empty(0, dtype=int)
+    s_active = np.empty((n, 0, 3), dtype=complex)
+    v = np.empty((n, 0, 4), dtype=complex)
+    while True:
+        # take rows while the set has room, pulling batches until one has rows
+        new, k = [], 0
+        while (room := min(cap, width) - len(ids) + len(free) - k) > 0 or not width:
+            if feeding is None:
+                if len(flight) == 2 or (batch := next(batches, None)) is None:
                     break
-            drawn = _injection_currents(s_active, u)
-            del u  # not held through the step
-            v_new, i_line = step(drawn, v)
-            dv = np.abs(np.subtract(v_new, v, out=v)).max(axis=0).max(axis=1)  # v is replaced
-            v = v_new
-            done = (dv < tol) | (iterations == max_iterations)
-            if done.any():
-                leaving = slots[done]
-                out.v[leaving] = v[:, done][bus_rows].swapaxes(0, 1)
-                out.i_line[leaving] = i_line[:, done][line_rows].swapaxes(0, 1)
-                out.i_load[leaving] = drawn[:, done, :3][bus_rows].swapaxes(0, 1)
-                out.iterations[leaving] = iterations
-                out.max_dv[leaving] = dv[done]
-                out.converged[leaving] = dv[done] < tol
-                slots, s_active, v = slots[~done], s_active[:, ~done], v[:, ~done]
-                if not len(slots):
-                    break
-    return out
+                feeding, batch = _as_injection_array(topology, batch, batched=True), None
+                flight.append(
+                    [HorizonState.zeros(len(feeding), topology), next_id + k, len(feeding)]
+                )
+                width = max(width, len(feeding))
+                continue
+            new.append(feeding[:room])
+            k += len(new[-1])
+            feeding = feeding[room:] if len(feeding) > room else None
+        # entering slots take the columns of those that left, in place
+        if k:
+            s_new = np.concatenate(new).swapaxes(0, 1)[order]
+            reuse = free[:k]
+            s_active[:, reuse] = s_new[:, :len(reuse)]
+            v[:, reuse] = slack
+            counts[reuse] = 0
+            ids[reuse] = np.arange(next_id, next_id + len(reuse))
+        if k > len(free):  # the set widens
+            s_active = np.concatenate([s_active, s_new[:, len(free):]], axis=1)
+            v = np.concatenate([v, np.broadcast_to(slack, (n, k - len(free), 4))], axis=1)
+            counts = np.concatenate([counts, np.zeros(k - len(free), dtype=int)])
+            ids = np.concatenate([ids, np.arange(next_id + len(free), next_id + k)])
+        elif k < len(free):  # no rows wait for the rest: the set narrows
+            keep = np.ones(len(ids), dtype=bool)
+            keep[free[k:]] = False
+            ids, counts, s_active, v = _compress(keep, ids, counts, s_active, v)
+        next_id, free = next_id + k, free[:0]
+        new = s_new = None  # not held while suspended at a yield
+        if flight and not flight[0][2]:
+            yield flight.pop(0)[0]
+            continue
+        if not len(ids):
+            return
+        counts += 1
+        u = v[..., :3] - v[..., 3:4]
+        # over buses first: one reduction over axes (0, 2) is far slower
+        collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
+        if collapsed.any():
+            gone = _leaving(ids, collapsed, flight)
+            _store(flight, ids[gone], {
+                "v": np.take(v, gone, axis=1)[bus_rows].swapaxes(0, 1),
+                "iterations": counts[gone],
+                "collapsed": np.ones(len(gone), dtype=bool),
+            })
+            ids, counts, s_active, v, u = _compress(~collapsed, ids, counts, s_active, v, u)
+            if not len(ids):
+                continue
+        drawn = _injection_currents(s_active, u)
+        del u  # not held through the step
+        v_new, i_line = step(drawn, v)
+        dv = np.abs(np.subtract(v_new, v, out=v)).max(axis=0).max(axis=1)  # v is replaced
+        v = v_new
+        done = (dv < tol) | (counts == max_iterations)
+        if done.any():
+            free = _leaving(ids, done, flight)
+            _store(flight, ids[free], {
+                "v": np.take(v, free, axis=1)[bus_rows].swapaxes(0, 1),
+                "i_line": np.take(i_line, free, axis=1)[line_rows].swapaxes(0, 1),
+                "i_load": np.take(drawn[..., :3], free, axis=1)[bus_rows].swapaxes(0, 1),
+                "iterations": counts[free],
+                "max_dv": dv[free],
+                "converged": dv[free] < tol,
+            })
+        del drawn, v_new, i_line  # not held while suspended at a yield
 
 
 def _sweep_step(topology: NetworkTopology):
@@ -299,6 +390,23 @@ def _sweep_step(topology: NetworkTopology):
     return step, order
 
 
+def solve_stream(
+    topology: NetworkTopology,
+    batches: Iterable,
+    *,
+    tolerance: float | None = None,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> Iterator[HorizonState]:
+    """Backward-forward sweep solve of a stream of (slots, n_buses, 3) batches.
+
+    Yields each batch's HorizonState in order, as solve_batch would return
+    it. Batches are pulled from `batches` only as the solver makes room for
+    their rows, after every row of the one before has entered, so that the
+    slots of the next batch iterate with the last ones of this one.
+    """
+    return _fixed_point(topology, batches, tolerance, max_iterations, *_sweep_step(topology))
+
+
 def solve_batch(
     topology: NetworkTopology,
     injections,
@@ -312,8 +420,9 @@ def solve_batch(
     if solved alone by solve_sweep; nothing raises for a failed slot, whose
     outcome is read from ``converged``, ``collapsed`` and check_collapse.
     """
-    s = _as_injection_array(topology, injections, batched=True)
-    return _fixed_point(topology, s, tolerance, max_iterations, *_sweep_step(topology))
+    return next(solve_stream(
+        topology, [injections], tolerance=tolerance, max_iterations=max_iterations
+    ))
 
 
 def solve_sweep(
@@ -376,7 +485,7 @@ def solve_direct(
         v_new.reshape(-1)[free] = np.linalg.solve(y_ff, inj[free] - y_fs @ v_slack)
         return v_new, (v_new[frm] - v_new[to]) / z_clamped[:, None]
 
-    batch = _fixed_point(topology, s[None], tolerance, max_iterations, step)
+    batch = next(_fixed_point(topology, [s[None]], tolerance, max_iterations, step))
     batch.check_collapse(0, topology)
     return batch[0]
 

@@ -4,10 +4,12 @@ A scenario is one charging strategy evaluated over the 96-slot day, possibly
 for several Monte Carlo trials that resample household demand. A sweep runs
 all five strategies against bitwise-identical household draws, so any
 difference between the reports isolates the strategy. As the strategies differ
-only where an EV charges, a trial solves its distinct demand rows once, in one
+only where an EV charges, a trial solves its distinct demand rows once, as one
 batch: the household row of every slot some strategy leaves without EV power,
 and a strategy's own row where it charges. Each strategy reads its day through
-a (96,) row index into that batch.
+a (96,) row index into that batch. A run feeds its trials' batches to one
+solver stream, which samples the next trial only when it has room for its
+rows, so that one trial's slowest slots iterate alongside the next one's.
 
 Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
@@ -22,6 +24,7 @@ import dataclasses
 import json
 import numbers
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -169,21 +172,17 @@ def build_schedule(
 
 def solve_horizon(
     topology: NetworkTopology,
-    rows: np.ndarray,
+    stream: Iterator[HorizonState],
     days: dict[str, np.ndarray],
-    *,
-    tolerance: float | None = None,
-    max_iterations: int = powerflow.DEFAULT_MAX_ITERATIONS,
 ) -> HorizonState:
-    """Solve a trial's (n_rows, n_buses, 3) demand rows as one batch.
+    """Take a trial's solved (n_rows, n_buses, 3) demand rows, the next state of `stream`.
 
-    ``days`` maps each strategy to the (96,) index of its slots' rows. A
-    failed slot aborts the trial, naming the first one in (strategy, slot)
-    order; an empty strategy name is left out of the message.
+    ``days`` maps each strategy to the (96,) index of its slots' rows; it is
+    read once the state is taken. A failed slot aborts the trial, naming the
+    first one in (strategy, slot) order; an empty strategy name is left out
+    of the message.
     """
-    solved = powerflow.solve_batch(
-        topology, rows, tolerance=tolerance, max_iterations=max_iterations
-    )
+    solved = next(stream)
     for strategy, index in days.items():
         failed = np.flatnonzero(~solved.converged[index])
         if not failed.size:
@@ -298,17 +297,27 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
     inputs = _Inputs(cfg, strategies)
     topo = inputs.topology
     seeds = trial_seeds(cfg.seed, cfg.trials)
+    # each trial's day index per strategy, filled in as the solver pulls the
+    # trial's rows, which it does before it yields their states
+    days_of = [{} for _ in seeds]
+
+    def rows_of(sd: dict, days: dict) -> np.ndarray:
+        rows, trial_days = _trial_rows(inputs, sd, strategies)
+        days.update(trial_days)
+        return rows
+
+    # a map, unlike a generator, holds none of the rows it has returned
+    stream = powerflow.solve_stream(
+        topo, map(rows_of, seeds, days_of),
+        tolerance=cfg.tolerance, max_iterations=cfg.max_iterations,
+    )
     reports: dict[str, ScenarioReport] = {}
     per_trial: dict[str, list[dict]] = {s: [] for s in strategies}
-    for i, sd in enumerate(seeds):
-        rows, days = _trial_rows(inputs, sd, strategies)
+    for i, days in enumerate(days_of):
         try:
-            solved = solve_horizon(
-                topo, rows, days, tolerance=cfg.tolerance, max_iterations=cfg.max_iterations
-            )
+            solved = solve_horizon(topo, stream, days)
         except SimulationError as exc:
             raise SimulationError(f"trial {i}: {exc}") from None
-        del rows  # the reduce reads only the solved rows
         for strategy, index in days.items():
             report = metrics.reduce_horizon(strategy, solved, topo, index)
             per_trial[strategy].append(report.summary())

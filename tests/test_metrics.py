@@ -3,7 +3,7 @@ import pytest
 
 from evfeeder.metrics import compare_scenarios, format_comparison, reduce_horizon
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
-from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages
+from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages, solve_stream
 from evfeeder.scenario import default_feeder_path, solve_horizon
 
 TANPHI = np.tan(np.arccos(0.91))
@@ -39,8 +39,12 @@ def stacked(states):
     )
 
 
+def solve_day(topology, demand):
+    return solve_horizon(topology, solve_stream(topology, [demand]), ONE_DAY)
+
+
 def reduce_solved(topology, demand):
-    return reduce_horizon("test", solve_horizon(topology, demand, ONE_DAY), topology, SLOTS)
+    return reduce_horizon("test", solve_day(topology, demand), topology, SLOTS)
 
 
 def reduce_synthetic(topology, states):
@@ -105,7 +109,7 @@ def test_extremes_match_the_solved_states():
     demand = np.zeros((96, 19, 3), complex)
     demand[:, :, 0] = 800.0
     demand[30:50, 14, 2] += 2500.0
-    states = solve_horizon(feeder, demand, ONE_DAY)
+    states = solve_day(feeder, demand)
     report = reduce_horizon("test", states, feeder, SLOTS)
     phase = np.stack([st.phase_voltage_pu(feeder.v_base) for st in states])
     neutral = np.stack([st.neutral_voltage_pu(feeder.v_base) for st in states])

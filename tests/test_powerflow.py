@@ -17,9 +17,9 @@ from evfeeder.powerflow import (
     kcl_residual,
     power_balance_error,
     slack_voltages,
-    slot_chunks,
     solve_batch,
     solve_direct,
+    solve_stream,
     solve_sweep,
 )
 from evfeeder.scenario import default_feeder_path
@@ -392,20 +392,46 @@ def test_batch_matches_the_per_bus_walk():
                 assert_same_state(state, want)
 
 
+def tag_slots(s):
+    """Number the slots of a batch by a phase-a load at the slack, 1, 2, ...,
+    which the slack serves without touching the network."""
+    s[:, 0, 0] = np.arange(1, len(s) + 1)
+    return s
+
+
+def spy_active_sets(monkeypatch):
+    """The tags, less one, of the slots in the active set at each iteration."""
+    sets = []
+    draw = powerflow._injection_currents
+
+    def spying(s, u):
+        sets.append(s[0, :, 0].real.astype(int) - 1)  # the slack's row is row 0
+        return draw(s, u)
+
+    monkeypatch.setattr(powerflow, "_injection_currents", spying)
+    return sets
+
+
+def outcomes(state):
+    return np.where(state.collapsed, "collapsed", np.where(state.converged, "converged", "out"))
+
+
 def assert_chunks_match_the_walk(topo, scales, base, monkeypatch):
-    """Solve `scales` times `base` four slots per chunk, where each full chunk
-    mixes slots that converge, collapse and run out of iterations, so slots
-    leave its active set at different iterations and the survivors are
-    filtered again and again; every slot must equal the per-bus walk."""
+    """Solve `scales` times `base` through a four-slot active set, refilled as
+    slots leave, where every slot but the last two shares the set with slots
+    that converge, collapse and run out of iterations, so slots leave it at
+    different iterations and their columns are refilled and dropped again
+    and again; every slot must equal the per-bus walk."""
     monkeypatch.setattr(powerflow, "CHUNK_BUS_SLOTS", 4 * topo.n_buses)
-    s = np.stack([k * base for k in scales])
+    s = tag_slots(np.stack([k * base for k in scales]))
     limits = {"max_iterations": 12}
+    active = spy_active_sets(monkeypatch)
     batch = solve_batch(topo, s, **limits)
-    chunks = slot_chunks(len(s), topo)
-    assert len(chunks) == 4
-    outcome = np.where(batch.collapsed, "collapsed", np.where(batch.converged, "converged", "out"))
-    for chunk in chunks[:-1]:
-        assert set(outcome[chunk]) == {"collapsed", "converged", "out"}
+    sets = active.copy()
+    outcome = outcomes(batch)
+    assert max(map(len, sets)) == 4
+    mixed = {int(t) for slots in sets if len(set(outcome[slots])) == 3 for t in slots}
+    assert mixed >= set(range(len(s) - 2))
     for t, state in enumerate(batch):
         want = walk_sweep(topo, s[t], **limits)
         assert batch.collapsed[t] == (want is None)
@@ -460,6 +486,67 @@ def test_level_order_on_a_deep_wide_feeder_matches_the_per_bus_walk(monkeypatch)
     base = random_injections(rng, topo, p_max=1.0)
     scales = [10, 1000, 300, 0, 2000, 500, 100, 1500, 700, 200, 3000, 300, 50, 1000]
     assert_chunks_match_the_walk(topo, scales, base, monkeypatch)
+
+
+def test_stream_refills_one_active_set_across_batches(monkeypatch):
+    # Batches of 0, 3, 9 and 5 slots through a four-slot active set. Slots
+    # converge, collapse and run out of iterations on both sides of each
+    # boundary, and the last batch is done before the slow last slot of the
+    # batch before it.
+    rng = np.random.default_rng(3)
+    topo = random_radial(rng, n_buses=8)
+    base = random_injections(rng, topo, p_max=1.0)
+    scales = [1000, 10, 3000, 0, 5000, 10, 3000, 0, 2500, 10, 5000, 1500, 0, 10, 3000, 100, 5000]
+    sizes = [0, 3, 9, 5]
+    rows = tag_slots(np.stack([k * base for k in scales]))
+    batches = np.split(rows, np.cumsum(sizes)[:-1])
+    batch_of = np.repeat(np.arange(len(sizes)), sizes)
+    monkeypatch.setattr(powerflow, "CHUNK_BUS_SLOTS", 4 * topo.n_buses)
+    active = spy_active_sets(monkeypatch)
+    events = []  # (what, batch, iterations run by then)
+
+    def feed():
+        for k, batch in enumerate(batches):
+            events.append(("pull", k, len(active)))
+            yield batch
+
+    limits = {"max_iterations": 12}
+    states = []
+    for k, state in enumerate(solve_stream(topo, feed(), **limits)):
+        events.append(("yield", k, len(active)))
+        states.append(state)
+    sets = active.copy()
+
+    assert [len(state) for state in states] == sizes
+    for batch, state in zip(batches, states):
+        alone = solve_batch(topo, batch, **limits)
+        for name in ("v", "i_line", "i_load", "iterations", "max_dv", "converged", "collapsed"):
+            assert getattr(state, name).tobytes() == getattr(alone, name).tobytes(), name
+    outcome = np.concatenate([outcomes(state) for state in states])
+    for k in (1, 2):
+        assert set(outcome[batch_of == k]) == {"collapsed", "converged", "out"}
+    assert set(outcome[batch_of == 3]) == {"collapsed", "converged"}
+
+    # one set of at most four slots, of at most two consecutive batches
+    spans = [set(batch_of[slots].tolist()) for slots in sets]
+    assert max(map(len, sets)) == 4
+    assert {(1, 2), (2, 3)} <= {(min(b), max(b)) for b in spans if len(b) == 2}
+    assert all(max(b) - min(b) <= 1 for b in spans)
+    first_seen = {t: min(i for i, slots in enumerate(sets) if t in slots) for t in range(len(rows))}
+    last_seen = {t: max(i for i, slots in enumerate(sets) if t in slots) for t in range(len(rows))}
+    when = {(what, k): i for i, (what, k, _) in enumerate(events)}
+    pulled_at = {k: at for what, k, at in events if what == "pull"}
+    for k in range(1, len(sizes)):
+        # every slot of batch k - 1 entered by the iteration after batch k was pulled
+        assert all(first_seen[t] <= pulled_at[k] for t in np.flatnonzero(batch_of == k - 1))
+    for k in range(len(sizes) - 2):
+        assert when["yield", k] < when["pull", k + 2]
+    # no wider than the widest batch fed so far
+    assert max(map(len, sets[:pulled_at[2]])) == 3
+    # batch 3 is done first, but batch 2 is yielded before it
+    assert max(last_seen[t] for t in np.flatnonzero(batch_of == 3)) < max(
+        last_seen[t] for t in np.flatnonzero(batch_of == 2))
+    assert [k for what, k, _ in events if what == "yield"] == [0, 1, 2, 3]
 
 
 def test_batch_state_views_its_arrays(feeder19):

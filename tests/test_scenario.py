@@ -9,7 +9,13 @@ from evfeeder import scenario
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
 from evfeeder.metrics import compare_scenarios, reduce_horizon
-from evfeeder.powerflow import InfeasibleInjectionError, slot_chunks, solve_batch, solve_sweep
+from evfeeder.powerflow import (
+    InfeasibleInjectionError,
+    slot_chunks,
+    solve_batch,
+    solve_stream,
+    solve_sweep,
+)
 from evfeeder.scenario import (
     STRATEGIES,
     ScenarioConfig,
@@ -285,7 +291,7 @@ def test_report_files_match_per_value_writer_on_a_400_bus_feeder(tmp_path):
     # 1600 voltage keys fill whole blocks of 10 keys; the 1596 current keys
     # end in a part block
     topo, demand = wide_feeder_day()
-    day = solve_horizon(topo, demand, {"": ONE_DAY})
+    day = solve_rows(topo, demand, {"": ONE_DAY})
     report = reduce_horizon("uncontrolled", day, topo, ONE_DAY)
     write_report_files(tmp_path / "rows", report, topo)
     reference_report_files(tmp_path / "ref", report, topo)
@@ -413,15 +419,20 @@ def seed1_days():
     return strategy_days(1)
 
 
+def solve_rows(topology, rows, days, **limits):
+    """solve_horizon of one trial's rows, fed alone to a stream."""
+    return solve_horizon(topology, solve_stream(topology, [rows], **limits), days)
+
+
 @pytest.fixture
 def horizon_calls(monkeypatch):
-    """Every scenario.solve_horizon call of the test: (rows, days, solved)."""
+    """Every scenario.solve_horizon call of the test: (days, solved)."""
     calls = []
     solve = scenario.solve_horizon
 
-    def recording(topology, rows, days, **limits):
-        solved = solve(topology, rows, days, **limits)
-        calls.append((rows, days, solved))
+    def recording(topology, stream, days):
+        solved = solve(topology, stream, days)
+        calls.append((days, solved))
         return solved
 
     monkeypatch.setattr(scenario, "solve_horizon", recording)
@@ -431,7 +442,7 @@ def horizon_calls(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_trial_batch_gathers_each_strategys_full_day(seed, horizon_calls):
     run_sweep(ScenarioConfig(seed=seed))
-    [(_, days, solved)] = horizon_calls
+    [(days, solved)] = horizon_calls
     assert list(days) == list(STRATEGIES)
     topo, demand = strategy_days(seed)
     for strategy, index in days.items():
@@ -443,11 +454,11 @@ def test_trial_batch_gathers_each_strategys_full_day(seed, horizon_calls):
 
 def test_trial_solves_each_distinct_row_once(horizon_calls):
     run_sweep(ScenarioConfig(seed=1, trials=2))
-    assert [len(rows) for rows, _, _ in horizon_calls] == [245, 245]
+    assert [len(solved) for _, solved in horizon_calls] == [245, 245]
     for strategy in STRATEGIES:
         horizon_calls.clear()
         run_scenario(ScenarioConfig(strategy=strategy, seed=1))
-        assert [len(rows) for rows, _, _ in horizon_calls] == [96]
+        assert [len(solved) for _, solved in horizon_calls] == [96]
 
 
 def test_trial_names_the_first_failed_strategy(tmp_path):
@@ -467,6 +478,22 @@ def test_trial_names_the_first_failed_strategy(tmp_path):
     )
 
 
+def test_trial_names_a_failure_in_a_later_trial(tmp_path):
+    # the vehicle's evening charge fits trial 0's household draw but not trial
+    # 1's: trial 1's rows are solved while trial 0's last slots iterate, and
+    # its failure is named as when the trials were solved one after another
+    fleet = tmp_path / "fleet.txt"
+    fleet.write_text("10 b 20 03:00 12:00 30\n")
+    kw = dict(seed=4, fleet_file=fleet, charge_power_w=4400.0, timer_start=slot_of("19:00"))
+    run_sweep(ScenarioConfig(**kw))
+    with pytest.raises(SimulationError) as caught:
+        run_sweep(ScenarioConfig(trials=2, **kw))
+    assert str(caught.value) == (
+        "trial 1: slot 76 under strategy 'timer': no convergence after 100 iterations "
+        "(last voltage change 4.222e-07 V)"
+    )
+
+
 def test_baseline_run_reads_no_fleet():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -478,7 +505,7 @@ def test_baseline_run_reads_no_fleet():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_solve_horizon_matches_single_slot_solves(strategy, seed1_days):
     topo, days = seed1_days
-    day = solve_horizon(topo, days[strategy], {strategy: ONE_DAY})
+    day = solve_rows(topo, days[strategy], {strategy: ONE_DAY})
     assert len(day) == 96
     for t, state in enumerate(day):
         assert_same_state(state, solve_sweep(topo, days[strategy][t]))
@@ -499,7 +526,7 @@ def wide_feeder_day():
 def test_solve_horizon_spanning_chunks_matches_single_slot_solves():
     topo, demand = wide_feeder_day()
     assert len(slot_chunks(96, topo)) >= 2
-    day = solve_horizon(topo, demand, {"": ONE_DAY})
+    day = solve_rows(topo, demand, {"": ONE_DAY})
     for t, state in enumerate(day):
         assert_same_state(state, solve_sweep(topo, demand[t]))
 
@@ -512,7 +539,7 @@ def test_solve_horizon_names_the_first_collapsed_slot(seed1_days):
     with pytest.raises(InfeasibleInjectionError) as alone:
         solve_sweep(topo, demand[5])
     with pytest.raises(SimulationError) as caught:
-        solve_horizon(topo, demand, {"timer": ONE_DAY})
+        solve_rows(topo, demand, {"timer": ONE_DAY})
     assert str(caught.value) == f"slot 5 under strategy 'timer': {alone.value}"
     assert isinstance(caught.value.__cause__, InfeasibleInjectionError)
 
@@ -528,7 +555,7 @@ def test_solve_horizon_names_the_first_failure_in_strategy_order(seed1_days):
     zoned, semismart = np.zeros(96, int), np.zeros(96, int)
     zoned[40], semismart[2] = 8, 5
     with pytest.raises(SimulationError) as caught:
-        solve_horizon(topo, rows, {"zoned": zoned, "semismart": semismart})
+        solve_rows(topo, rows, {"zoned": zoned, "semismart": semismart})
     assert str(caught.value) == f"slot 40 under strategy 'zoned': {alone.value}"
 
 
@@ -537,7 +564,7 @@ def test_solve_horizon_names_the_first_unconverged_slot(seed1_days):
     alone = solve_sweep(topo, days["uncontrolled"][0], max_iterations=2)
     assert not alone.converged
     with pytest.raises(SimulationError) as caught:
-        solve_horizon(topo, days["uncontrolled"], {"": ONE_DAY}, max_iterations=2)
+        solve_rows(topo, days["uncontrolled"], {"": ONE_DAY}, max_iterations=2)
     assert str(caught.value) == (
         f"slot 0: no convergence after 2 iterations "
         f"(last voltage change {alone.max_dv:.3e} V)"
