@@ -136,15 +136,18 @@ def ev_power_frame(schedule: ChargeSchedule, topology: NetworkTopology) -> np.nd
     """Active EV power in watts per (slot, bus, phase); reactive is zero.
 
     Vehicles draw active power only, so the frame superposes onto household
-    demand without touching its reactive part.
+    demand without touching its reactive part. A fleet has one vehicle per
+    (bus, phase) and a window of at most one day, so each cell is set once.
     """
     frame = np.zeros((SLOTS_PER_DAY, topology.n_buses, 3))
-    phase_index = {p: i for i, p in enumerate(PHASES)}
-    for w in schedule.windows:
-        b = w.ev.bus - 1
-        p = phase_index[w.ev.phase]
-        for t in w.slots():
-            frame[t, b, p] += schedule.power_w
+    start, bus, phase, n_slots = np.array(
+        [(w.start, w.ev.bus - 1, PHASES.index(w.ev.phase), w.n_slots) for w in schedule.windows],
+        dtype=int,
+    ).reshape(-1, 4).T
+    # each charging slot's offset into its window
+    offset = np.arange(n_slots.sum()) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
+    slot = (np.repeat(start, n_slots) + offset) % SLOTS_PER_DAY
+    frame[slot, np.repeat(bus, n_slots), np.repeat(phase, n_slots)] = schedule.power_w
     return frame
 
 

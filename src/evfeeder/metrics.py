@@ -1,12 +1,14 @@
 """Reduction of a solved day into the reported study quantities.
 
-:func:`reduce_horizon` reads the solved day as slot-major arrays: the
-per-unit voltages, the line current magnitudes, and per slot the series
-losses and the slack/load powers; the extremes are then located on the
-voltages. Losses are resistive I^2 R over every conductor including the
-neutral, integrated over the day. Voltages are reported per unit as
-|v_phase - v_neutral| / v_base for the phases and |v_neutral| / v_base for
-the neutral wire.
+A trial's batch is reduced once, row by row: :func:`reduce_rows` turns every
+solved row into the per-unit voltages, the line current magnitudes, and the
+row's series losses and slack/load powers, whichever strategies read it.
+:func:`reduce_horizon` then gathers one strategy's 96 slots from those float
+rows through its row index, locates the extremes on the voltages and sums
+the energies in slot order. Losses are resistive I^2 R over every conductor
+including the neutral, integrated over the day. Voltages are reported per
+unit as |v_phase - v_neutral| / v_base for the phases and |v_neutral| /
+v_base for the neutral wire.
 """
 
 from __future__ import annotations
@@ -73,33 +75,43 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.sum(x.reshape(len(x), -1), axis=1)
 
 
-def reduce_horizon(
-    scenario: str, day: HorizonState, topology: NetworkTopology, slots: np.ndarray
-) -> ScenarioReport:
-    """Build the full report for one solved day from its slot-major arrays.
+@dataclass
+class ReducedRows:
+    """The report quantities of each row of a solved batch, row-major.
 
-    ``slots`` indexes the day's 96 slots in ``day``, which may hold a whole
-    trial's batch. The per-phase minima are independent per phase;
-    ``phase_minima_at_worst_bus`` evaluates all three phases at the single
-    overall worst bus, since the two conventions differ on unbalanced
-    feeders. The slack and load energies integrate the slack supply and the
-    delivered load slot by slot.
+    voltage_pu -- (rows, n_buses, 4) per-unit magnitudes, phases then neutral
+    current_a  -- (rows, n_lines, 4) line current magnitudes, amperes
+    loss_kw    -- (rows,) series losses
+    slack_w    -- (rows,) active power supplied at the slack bus
+    load_w     -- (rows,) active power delivered to the loads
+    converged  -- (rows,) bool, the solver's flag
     """
-    bad = np.flatnonzero(~day.converged[slots]).tolist()
-    if bad:
-        raise ValueError(f"slots {bad} are not converged; refusing to reduce")
-    if len(slots) != SLOTS_PER_DAY:
-        raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(slots)}")
+
+    voltage_pu: np.ndarray
+    current_a: np.ndarray
+    loss_kw: np.ndarray
+    slack_w: np.ndarray
+    load_w: np.ndarray
+    converged: np.ndarray
+
+
+def reduce_rows(day: HorizonState, topology: NetworkTopology) -> ReducedRows:
+    """Reduce every row of a solved batch once, whichever strategies read it.
+
+    The slack and load powers are summed as complex products, each row on its
+    own, and their real parts kept.
+    """
+    n_rows = len(day)
     frm, _, z = topology.line_arrays
     r = z.real
-    voltage_pu = np.empty((SLOTS_PER_DAY, topology.n_buses, 4))
-    current_a = np.empty((SLOTS_PER_DAY, len(topology.lines), 4))
-    loss_kw = np.empty(SLOTS_PER_DAY)
-    slack_va = np.empty(SLOTS_PER_DAY, dtype=complex)
-    load_va = np.empty(SLOTS_PER_DAY, dtype=complex)
-    # gathered in chunks of the solver's largest active set, which bound the temporaries
-    for c in slot_chunks(SLOTS_PER_DAY, topology):
-        v, i_line, i_load = day.v[slots[c]], day.i_line[slots[c]], day.i_load[slots[c]]
+    voltage_pu = np.empty((n_rows, topology.n_buses, 4))
+    current_a = np.empty((n_rows, len(topology.lines), 4))
+    loss_kw = np.empty(n_rows)
+    slack_va = np.empty(n_rows, dtype=complex)
+    load_va = np.empty(n_rows, dtype=complex)
+    # in chunks of the solver's largest active set, which bound the temporaries
+    for c in slot_chunks(n_rows, topology):
+        v, i_line, i_load = day.v[c], day.i_line[c], day.i_load[c]
         u = v[..., :3] - v[..., 3:4]
         voltage_pu[c, :, :3] = np.abs(u) / topology.v_base
         voltage_pu[c, :, 3] = np.abs(v[..., 3]) / topology.v_base
@@ -109,10 +121,30 @@ def reduce_horizon(
         slack_va[c] = _row_sums(v[:, :1] * np.conj(i_line[:, frm == 0]))
         slack_va[c] += _row_sums(u[:, 0] * np.conj(i_load[:, 0]))
         load_va[c] = _row_sums(u * np.conj(i_load))
+    return ReducedRows(voltage_pu, current_a, loss_kw, slack_va.real, load_va.real, day.converged)
+
+
+def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> ScenarioReport:
+    """Build the full report for one day from its reduced rows.
+
+    ``slots`` indexes the day's 96 slots in ``rows``, which may hold a whole
+    trial's batch. The per-phase minima are independent per phase;
+    ``phase_minima_at_worst_bus`` evaluates all three phases at the single
+    overall worst bus, since the two conventions differ on unbalanced
+    feeders. The slack and load energies integrate the slack supply and the
+    delivered load slot by slot.
+    """
+    bad = np.flatnonzero(~rows.converged[slots]).tolist()
+    if bad:
+        raise ValueError(f"slots {bad} are not converged; refusing to reduce")
+    if len(slots) != SLOTS_PER_DAY:
+        raise ValueError(f"expected {SLOTS_PER_DAY} states, got {len(slots)}")
+    voltage_pu = rows.voltage_pu[slots]
+    loss_kw = rows.loss_kw[slots]
     # sequential sums: np.sum over the slots would pair them differently
     slack_wh = 0.0
     load_wh = 0.0
-    for slack, load in zip(slack_va.real.tolist(), load_va.real.tolist()):
+    for slack, load in zip(rows.slack_w[slots].tolist(), rows.load_w[slots].tolist()):
         slack_wh += slack * SLOT_HOURS
         load_wh += load * SLOT_HOURS
     minima = {ph: _extremum(voltage_pu[:, :, i], np.argmin) for i, ph in enumerate(PHASES)}
@@ -129,7 +161,7 @@ def reduce_horizon(
         phase_minima_at_worst_bus=at_worst,
         max_neutral=_extremum(voltage_pu[:, :, 3], np.argmax),
         voltage_pu=voltage_pu,
-        current_a=current_a,
+        current_a=rows.current_a[slots],
         slack_energy_kwh=slack_wh / 1e3,
         load_energy_kwh=load_wh / 1e3,
     )

@@ -8,10 +8,12 @@ count and convergence test, and leaves as soon as its largest voltage change
 falls under the tolerance, so its arithmetic is the same as if it were solved
 alone. The loop reads a stream of batches into one active set of slots: as
 slots leave, the next ones in batch and slot order take their places, up to
-``CHUNK_BUS_SLOTS`` bus-slots and the widest batch fed so far, from at most
-two batches at once. It iterates bus-major, on (bus, slot, wire) arrays,
-stores each slot slot-major in its batch's :class:`HorizonState` as it leaves,
-and yields each batch's state in order once its last slot has left.
+``CHUNK_BUS_SLOTS`` bus-slots and the widest batch fed so far. Two batches
+may always be in flight, a third or later one only while those in flight
+hold at most ``CHUNK_BUS_SLOTS`` bus-slots in all. It iterates bus-major,
+on (bus, slot, wire) arrays, stores each slot slot-major in its batch's
+:class:`HorizonState` as it leaves, and yields each batch's state in order
+once its last slot has left.
 
 * :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
@@ -72,11 +74,6 @@ _SLACK_ROTATION = np.array(
 
 class InfeasibleInjectionError(RuntimeError):
     """The injections drive a bus voltage under the collapse floor."""
-
-
-def base_current(topology: NetworkTopology) -> float:
-    """Per-unit current base in amperes (1 kVA single phase at v_base)."""
-    return S_BASE_VA / topology.v_base
 
 
 def slack_voltages(topology: NetworkTopology) -> np.ndarray:
@@ -214,8 +211,8 @@ def slot_chunks(n_slots: int, topology: NetworkTopology) -> list[slice]:
 
 
 def _leaving(ids: np.ndarray, mask: np.ndarray, flight: list) -> np.ndarray:
-    """The columns where `mask` is set; with two batches in flight, in the
-    increasing order of their slot ids that _store splits them by."""
+    """The columns where `mask` is set; with more than one batch in flight,
+    in the increasing order of their slot ids that _store splits them by."""
     cols = np.flatnonzero(mask)
     return cols[np.argsort(ids[cols])] if len(flight) > 1 else cols
 
@@ -230,7 +227,7 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
 def _store(flight: list, ids: np.ndarray, values: dict) -> None:
     """Write leaving slots into the states of their batches in `flight`.
 
-    `ids` are the leaving slots' ids, increasing if they can be of two
+    `ids` are the leaving slots' ids, increasing if they can be of several
     batches; each value holds one entry per leaving slot along its first axis.
     """
     edges = [0, len(ids)]
@@ -262,12 +259,14 @@ def _fixed_point(
     `max_iterations`. One active set holds the slots being iterated,
     bus-major: the step's arrays are (rows, slots, 4). As slots leave it is
     refilled in batch and slot order, up to CHUNK_BUS_SLOTS bus-slots and
-    the width of the widest batch fed so far. It holds slots of at most two
-    batches: the next batch is pulled when the set has room, every row of
-    the last one has entered and the one before that has been yielded. Rows
-    are buses and lines as numbered, or with `order` the bus in each row,
-    and then row r of i_line is the line feeding the bus in row r + 1. Each
-    slot leaves straight into its batch's state, in bus and line order.
+    the width of the widest batch fed so far. The next batch is pulled when
+    the set has room and every row of the last one has entered; with two or
+    more batches in flight, only while their rows hold at most
+    CHUNK_BUS_SLOTS bus-slots, so that small feeders solve several batches
+    ahead and large ones keep to two. Rows are buses and lines as numbered,
+    or with `order` the bus in each row, and then row r of i_line is the
+    line feeding the bus in row r + 1. Each slot leaves straight into its
+    batch's state, in bus and line order.
     """
     tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
     if not 0 < tol < np.inf:
@@ -298,7 +297,8 @@ def _fixed_point(
         new, k = [], 0
         while (room := min(cap, width) - len(ids) + len(free) - k) > 0 or not width:
             if feeding is None:
-                if len(flight) == 2 or (batch := next(batches, None)) is None:
+                full = len(flight) > 1 and sum(len(b[0]) for b in flight) * n > CHUNK_BUS_SLOTS
+                if full or (batch := next(batches, None)) is None:
                     break
                 feeding, batch = _as_injection_array(topology, batch, batched=True), None
                 flight.append(

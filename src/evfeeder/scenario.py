@@ -6,10 +6,11 @@ all five strategies against bitwise-identical household draws, so any
 difference between the reports isolates the strategy. As the strategies differ
 only where an EV charges, a trial solves its distinct demand rows once, as one
 batch: the household row of every slot some strategy leaves without EV power,
-and a strategy's own row where it charges. Each strategy reads its day through
-a (96,) row index into that batch. A run feeds its trials' batches to one
-solver stream, which samples the next trial only when it has room for its
-rows, so that one trial's slowest slots iterate alongside the next one's.
+and a strategy's own row where it charges. The solved batch is reduced once,
+row by row, and each strategy gathers its day from those rows through a (96,)
+row index. A run feeds its trials' batches to one solver stream, which
+samples the next trial only when it has room for its rows, so that one
+trial's slowest slots iterate alongside the next ones'.
 
 Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
@@ -318,11 +319,13 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
             solved = solve_horizon(topo, stream, days)
         except SimulationError as exc:
             raise SimulationError(f"trial {i}: {exc}") from None
+        rows = metrics.reduce_rows(solved, topo)
+        del solved  # the complex state is not held through the gathers
         for strategy, index in days.items():
-            report = metrics.reduce_horizon(strategy, solved, topo, index)
+            report = metrics.reduce_horizon(strategy, rows, index)
             per_trial[strategy].append(report.summary())
             reports.setdefault(strategy, report)
-        del solved  # not held through the next trial's solve
+        del rows, report  # nor the float rows through the next trial's solve
     for strategy, report in reports.items():
         report.extra["per_trial"] = per_trial[strategy]
         report.extra["aggregate"] = _aggregate(per_trial[strategy])

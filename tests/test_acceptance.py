@@ -23,7 +23,6 @@ from evfeeder.loads import (
 from evfeeder.network import load_topology, loads_topology
 from evfeeder.powerflow import (
     InfeasibleInjectionError,
-    base_current,
     kcl_residual,
     power_balance_error,
     solve_direct,
@@ -42,7 +41,7 @@ from evfeeder.scenario import (
 )
 from evfeeder.slots import SLOTS_PER_DAY
 
-from test_powerflow import random_injections, random_radial
+from test_powerflow import base_current, random_injections, random_radial
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evfeeder.charging import (
+    ChargeSchedule,
     ChargeWindow,
     ScheduleWarning,
     SchedulingError,
@@ -17,7 +18,7 @@ from evfeeder.charging import (
     schedule_zoned,
 )
 from evfeeder.loads import EvSpec, FleetDataWarning, FleetSpec, charge_duration_slots, load_fleet
-from evfeeder.network import load_topology
+from evfeeder.network import PHASES, load_topology
 from evfeeder.scenario import default_feeder_path, default_fleet_path, default_zones_path
 from evfeeder.slots import slot_of
 
@@ -210,6 +211,29 @@ def test_single_ev_frame():
     assert np.count_nonzero(hot) == 9
     assert np.all(hot[slot_of("17:00"):slot_of("19:15")] == 3500.0)
     assert frame.sum() == pytest.approx(9 * 3500.0)
+
+
+def loop_power_frame(schedule, topology):
+    """The EV frame one window slot at a time: the reference for ev_power_frame."""
+    frame = np.zeros((96, topology.n_buses, 3))
+    for w in schedule.windows:
+        for t in w.slots():
+            frame[t, w.ev.bus - 1, PHASES.index(w.ev.phase)] += schedule.power_w
+    return frame
+
+
+def test_frame_matches_the_per_slot_loop(fleet34, zones3):
+    topo = load_topology(default_feeder_path())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleWarning)
+        schedules = [schedule_uncontrolled(fleet34), schedule_timer(fleet34),
+                     schedule_zoned(fleet34, zones3), schedule_semi_smart(fleet34)]
+    # windows wrapping midnight, two of exactly a day (one of them wrapping) and an empty one
+    spots = [(3, "a", 94, 4), (7, "c", 0, 96), (12, "b", 50, 0), (19, "a", 90, 96)]
+    windows = tuple(ChargeWindow(ev=ev(bus=b, phase=p), start=t, n_slots=n) for b, p, t, n in spots)
+    schedules.append(ChargeSchedule(windows=windows, power_w=7400.0))
+    for schedule in schedules:
+        assert ev_power_frame(schedule, topo).tobytes() == loop_power_frame(schedule, topo).tobytes()
 
 
 def test_frame_total_energy_matches_slot_count(fleet34):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evfeeder.metrics import compare_scenarios, format_comparison, reduce_horizon
+from evfeeder.metrics import compare_scenarios, format_comparison, reduce_horizon, reduce_rows
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
 from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages, solve_stream
 from evfeeder.scenario import default_feeder_path, solve_horizon
@@ -44,11 +44,12 @@ def solve_day(topology, demand):
 
 
 def reduce_solved(topology, demand):
-    return reduce_horizon("test", solve_day(topology, demand), topology, SLOTS)
+    return reduce_horizon("test", reduce_rows(solve_day(topology, demand), topology), SLOTS)
 
 
 def reduce_synthetic(topology, states):
-    return reduce_horizon("synthetic", stacked(states), topology, np.arange(len(states)))
+    rows = reduce_rows(stacked(states), topology)
+    return reduce_horizon("synthetic", rows, np.arange(len(states)))
 
 
 def test_zero_load_day():
@@ -110,7 +111,7 @@ def test_extremes_match_the_solved_states():
     demand[:, :, 0] = 800.0
     demand[30:50, 14, 2] += 2500.0
     states = solve_day(feeder, demand)
-    report = reduce_horizon("test", states, feeder, SLOTS)
+    report = reduce_horizon("test", reduce_rows(states, feeder), SLOTS)
     phase = np.stack([st.phase_voltage_pu(feeder.v_base) for st in states])
     neutral = np.stack([st.neutral_voltage_pu(feeder.v_base) for st in states])
     for i, ph in enumerate("abc"):

@@ -12,7 +12,6 @@ from evfeeder.powerflow import (
     VOLTAGE_FLOOR_PU,
     InfeasibleInjectionError,
     NetworkState,
-    base_current,
     complex_power_balance,
     kcl_residual,
     power_balance_error,
@@ -37,6 +36,11 @@ def injections(topology, entries):
     for (bus, phase), val in entries.items():
         s[bus - 1, "abc".index(phase)] = val
     return s
+
+
+def base_current(topology):
+    """Per-unit current base in amperes (1 kVA single phase at v_base)."""
+    return powerflow.S_BASE_VA / topology.v_base
 
 
 @pytest.fixture(scope="module")
@@ -547,6 +551,52 @@ def test_stream_refills_one_active_set_across_batches(monkeypatch):
     assert max(last_seen[t] for t in np.flatnonzero(batch_of == 3)) < max(
         last_seen[t] for t in np.flatnonzero(batch_of == 2))
     assert [k for what, k, _ in events if what == "yield"] == [0, 1, 2, 3]
+
+
+def test_stream_solves_ahead_within_the_bus_slot_budget(monkeypatch):
+    # Batches of one to three slots under a budget of six slots: a slow slot
+    # of one batch lets the batches after it be pulled while their slots fit.
+    rng = np.random.default_rng(3)
+    topo = random_radial(rng, n_buses=8)
+    base = random_injections(rng, topo, p_max=1.0)
+    scales = [[10, 1000, 0], [10], [0, 5000], [100], [1500, 10], [3000], [0], [300, 2000, 10]]
+    sizes = [len(k) for k in scales]
+    rows = tag_slots(np.stack([k * base for k in sum(scales, [])]))
+    batches = np.split(rows, np.cumsum(sizes)[:-1])
+    batch_of = np.repeat(np.arange(len(sizes)), sizes)
+    budget = 6 * topo.n_buses
+    monkeypatch.setattr(powerflow, "CHUNK_BUS_SLOTS", budget)
+    active = spy_active_sets(monkeypatch)
+    in_flight, held = [], []  # the batches pulled and not yet yielded; their bus-slots
+
+    def feed():
+        for k, batch in enumerate(batches):
+            if len(in_flight) > 1:
+                held.append((len(in_flight), sum(sizes[j] for j in in_flight) * topo.n_buses))
+            in_flight.append(k)
+            yield batch
+
+    limits = {"max_iterations": 12}
+    states = []
+    for k, state in enumerate(solve_stream(topo, feed(), **limits)):
+        assert in_flight[0] == k  # yielded in feed order
+        in_flight.pop(0)
+        states.append(state)
+    sets = active.copy()
+
+    assert [len(state) for state in states] == sizes
+    for batch, state in zip(batches, states):
+        alone = solve_batch(topo, batch, **limits)
+        for name in ("v", "i_line", "i_load", "iterations", "max_dv", "converged", "collapsed"):
+            assert getattr(state, name).tobytes() == getattr(alone, name).tobytes(), name
+    # a third or later batch is pulled only while those in flight fit the
+    # budget, which they may fill exactly
+    assert max(held, default=None) == (3, budget) and all(slots <= budget for _, slots in held)
+    # so the slots of one set span batches whose rows before the last fit too
+    spans = [(min(b), max(b)) for b in (batch_of[slots] for slots in sets) if len(b)]
+    assert max(hi - lo for lo, hi in spans) == 3
+    for lo, hi in spans:
+        assert hi - lo < 2 or sum(sizes[lo:hi]) * topo.n_buses <= budget
 
 
 def test_batch_state_views_its_arrays(feeder19):

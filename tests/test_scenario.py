@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from evfeeder import scenario
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
-from evfeeder.metrics import compare_scenarios, reduce_horizon
+from evfeeder.metrics import compare_scenarios, reduce_horizon, reduce_rows
 from evfeeder.powerflow import (
+    CHUNK_BUS_SLOTS,
+    HorizonState,
     InfeasibleInjectionError,
     slot_chunks,
     solve_batch,
@@ -33,7 +36,7 @@ from evfeeder.scenario import (
     validate,
     write_report_files,
 )
-from evfeeder.network import WIRES, LineSegment, NetworkTopology, load_topology
+from evfeeder.network import WIRES, LineSegment, NetworkTopology, load_topology, save_topology
 from evfeeder.slots import SLOTS_PER_DAY, slot_of
 
 from test_powerflow import assert_same_state, random_injections, random_radial, walk_sweep
@@ -292,7 +295,7 @@ def test_report_files_match_per_value_writer_on_a_400_bus_feeder(tmp_path):
     # end in a part block
     topo, demand = wide_feeder_day()
     day = solve_rows(topo, demand, {"": ONE_DAY})
-    report = reduce_horizon("uncontrolled", day, topo, ONE_DAY)
+    report = reduce_horizon("uncontrolled", reduce_rows(day, topo), ONE_DAY)
     write_report_files(tmp_path / "rows", report, topo)
     reference_report_files(tmp_path / "ref", report, topo)
     for name in ("voltages.csv", "currents.csv", "losses.csv"):
@@ -569,3 +572,45 @@ def test_solve_horizon_names_the_first_unconverged_slot(seed1_days):
         f"slot 0: no convergence after 2 iterations "
         f"(last voltage change {alone.max_dv:.3e} V)"
     )
+
+
+def test_sweep_peak_holds_two_complex_batches(tmp_path, monkeypatch):
+    # On 300 buses two trials of ~230 rows hold more than CHUNK_BUS_SLOTS
+    # bus-slots, so no third trial's complex state joins them in flight, and
+    # each trial's is dropped once its rows are reduced, before the strategies
+    # gather theirs.
+    rng = np.random.default_rng(7)
+    lines = tuple(LineSegment(ln.from_bus, ln.to_bus, ln.z_phase / 1000, ln.z_neutral / 1000)
+                  for ln in random_radial(rng, n_buses=300).lines)
+    topo = NetworkTopology(lines=lines)
+    save_topology(topo, tmp_path / "feeder.txt")
+    (tmp_path / "zones.txt").write_text(f"zone 1 23:00 {','.join(map(str, topo.buses))}\n")
+    n_rows = []
+    solve = scenario.solve_horizon
+
+    def counting(topology, stream, days):
+        solved = solve(topology, stream, days)
+        n_rows.append(len(solved))
+        return solved
+
+    monkeypatch.setattr(scenario, "solve_horizon", counting)
+    cfg = ScenarioConfig(feeder=tmp_path / "feeder.txt", zones=tmp_path / "zones.txt",
+                         penetration=0.6, trials=3, seed=5)
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = max(n_rows)
+    assert len(n_rows) == 3 and 2 * rows * topo.n_buses > CHUNK_BUS_SLOTS
+    # bytes per row: a complex state, its float reduction and its injections
+    one = HorizonState.zeros(1, topo)
+    complex_row = one.v.nbytes + one.i_line.nbytes + one.i_load.nbytes
+    float_row = 8 * (one.v.size + one.i_line.size + 3)
+    injection_row = 16 * 3 * topo.n_buses
+    # two complex batches, one trial's float and injection rows, the five
+    # strategies' first reports and one being gathered, and half a batch of
+    # the reduction's temporaries and the next trial's frames
+    bound = rows * (2.5 * complex_row + float_row + injection_row) + 6 * 96 * float_row
+    assert peak < bound
