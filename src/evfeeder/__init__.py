@@ -1,98 +1,14 @@
 """evfeeder: unbalanced four-wire LV feeder simulation of EV charging strategies."""
 
-from .charging import (
-    ChargeSchedule,
-    ChargeWindow,
-    ZonePlan,
-    ev_power_frame,
-    load_zone_plan,
-    schedule_semi_smart,
-    schedule_timer,
-    schedule_uncontrolled,
-    schedule_zoned,
-)
-from .loads import (
-    BaseLoadCurve,
-    EvDistributions,
-    EvSpec,
-    FleetSpec,
-    HouseholdLoad,
-    charge_duration_slots,
-    default_base_curve,
-    load_base_curve,
-    load_fleet,
-    sample_fleet,
-    sample_household_loads,
-)
-from .metrics import (
-    ScenarioReport,
-    compare_scenarios,
-)
-from .network import (
-    FeederFormatError,
-    LineSegment,
-    NetworkTopology,
-    TopologyError,
-    load_topology,
-)
-from .powerflow import (
-    HorizonState,
-    InfeasibleInjectionError,
-    NetworkState,
-    kcl_residual,
-    solve_batch,
-    solve_direct,
-    solve_sweep,
-)
-from .scenario import (
-    STRATEGIES,
-    ScenarioConfig,
-    SimulationError,
-    __version__,
-    run_scenario,
-    run_sweep,
-    validate,
-)
+from .network import load_topology
+from .powerflow import solve_batch, solve_sweep
+from .scenario import ScenarioConfig, __version__, run_sweep
 
 __all__ = [
-    "BaseLoadCurve",
-    "ChargeSchedule",
-    "ChargeWindow",
-    "EvDistributions",
-    "EvSpec",
-    "FeederFormatError",
-    "FleetSpec",
-    "HorizonState",
-    "HouseholdLoad",
-    "InfeasibleInjectionError",
-    "LineSegment",
-    "NetworkState",
-    "NetworkTopology",
-    "STRATEGIES",
     "ScenarioConfig",
-    "ScenarioReport",
-    "SimulationError",
-    "TopologyError",
-    "ZonePlan",
-    "charge_duration_slots",
-    "compare_scenarios",
-    "default_base_curve",
-    "ev_power_frame",
-    "kcl_residual",
-    "load_base_curve",
-    "load_fleet",
+    "__version__",
     "load_topology",
-    "load_zone_plan",
-    "run_scenario",
     "run_sweep",
-    "sample_fleet",
-    "sample_household_loads",
-    "schedule_semi_smart",
-    "schedule_timer",
-    "schedule_uncontrolled",
-    "schedule_zoned",
     "solve_batch",
-    "solve_direct",
     "solve_sweep",
-    "validate",
 ]

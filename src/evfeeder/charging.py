@@ -11,7 +11,9 @@ differ only in where the window sits on the modular 96-slot day:
                   start is computed locally from the owner's inputs, with no
                   communication to anything upstream.
 
-Windows are half-open [start, start + duration) and may wrap midnight.
+Windows are half-open [start, start + duration) and may wrap midnight. A
+schedule holds every vehicle's window as columns, in fleet order; a strategy
+that cannot schedule the fleet names its first such vehicle.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .loads import EvSpec, FleetSpec, charge_duration_slots
+from .loads import FleetSpec, charge_duration_slots
 from .network import PHASES, NetworkTopology
-from .slots import SLOTS_PER_DAY, slot_of, time_of, window_slots
+from .slots import SLOTS_PER_DAY, slot_of, time_of
 
 TIMER_DEFAULT_START = slot_of("24:00")
 
@@ -37,24 +39,16 @@ class ScheduleWarning(UserWarning):
     """A window violates a soft expectation (e.g. starts before arrival)."""
 
 
-@dataclass(frozen=True)
-class ChargeWindow:
-    ev: EvSpec
-    start: int      # slot
-    n_slots: int
-
-    @property
-    def end(self) -> int:
-        """First slot after the window, modulo one day."""
-        return (self.start + self.n_slots) % SLOTS_PER_DAY
-
-    def slots(self) -> list[int]:
-        return window_slots(self.start, self.n_slots)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeSchedule:
-    windows: tuple[ChargeWindow, ...]
+    """Each vehicle's window [start, start + n_slots) on the modular day, as
+    columns in fleet order; bus and phase (an index into PHASES) are the
+    fleet's. Every vehicle charges at power_w."""
+
+    bus: np.ndarray
+    phase: np.ndarray
+    start: np.ndarray   # slot
+    n_slots: np.ndarray
     power_w: float
 
 
@@ -71,43 +65,46 @@ class ZonePlan:
             raise ValueError(f"zones {sorted(missing)} have no start time")
 
 
-def _duration(ev: EvSpec, fleet: FleetSpec) -> int:
-    n = charge_duration_slots(ev, fleet.charge_power_w)
-    if n > SLOTS_PER_DAY:
+def _durations(fleet: FleetSpec, unzoned: np.ndarray | None = None) -> np.ndarray:
+    """Each vehicle's charge slots.
+
+    The first vehicle, in fleet order, that cannot be scheduled raises: one
+    that `unzoned` marks as having no zone, or one that needs more than a day.
+    """
+    n = charge_duration_slots(fleet.capacity_kwh, fleet.initial_soc, fleet.charge_power_w)
+    bad = n > SLOTS_PER_DAY
+    if unzoned is not None:
+        bad |= unzoned
+    if bad.any():
+        i = int(bad.argmax())
+        if unzoned is not None and unzoned[i]:
+            raise SchedulingError(f"bus {fleet.bus[i]} has no zone in the plan")
         raise SchedulingError(
-            f"vehicle at bus {ev.bus} phase {ev.phase} needs {n} slots, "
+            f"vehicle at bus {fleet.bus[i]} phase {PHASES[fleet.phase[i]]} needs {n[i]} slots, "
             f"more than one day at {fleet.charge_power_w} W"
         )
     return n
 
 
+def _schedule(fleet: FleetSpec, start: np.ndarray, n_slots: np.ndarray) -> ChargeSchedule:
+    return ChargeSchedule(fleet.bus, fleet.phase, start, n_slots, fleet.charge_power_w)
+
+
 def schedule_uncontrolled(fleet: FleetSpec) -> ChargeSchedule:
     """Plug in and charge immediately on arrival."""
-    windows = tuple(
-        ChargeWindow(ev=ev, start=ev.arrival, n_slots=_duration(ev, fleet))
-        for ev in fleet.vehicles
-    )
-    return ChargeSchedule(windows=windows, power_w=fleet.charge_power_w)
+    return _schedule(fleet, fleet.arrival, _durations(fleet))
 
 
 def schedule_timer(fleet: FleetSpec, start: int = TIMER_DEFAULT_START) -> ChargeSchedule:
     """Every vehicle starts at the same timer setting."""
-    windows = tuple(
-        ChargeWindow(ev=ev, start=start % SLOTS_PER_DAY, n_slots=_duration(ev, fleet))
-        for ev in fleet.vehicles
-    )
-    return ChargeSchedule(windows=windows, power_w=fleet.charge_power_w)
+    return _schedule(fleet, np.full(fleet.bus.size, start % SLOTS_PER_DAY), _durations(fleet))
 
 
 def schedule_zoned(fleet: FleetSpec, plan: ZonePlan) -> ChargeSchedule:
     """Timer charging with per-zone start times."""
-    windows = []
-    for ev in fleet.vehicles:
-        if ev.bus not in plan.zones:
-            raise SchedulingError(f"bus {ev.bus} has no zone in the plan")
-        start = plan.start_times[plan.zones[ev.bus]]
-        windows.append(ChargeWindow(ev=ev, start=start, n_slots=_duration(ev, fleet)))
-    return ChargeSchedule(windows=tuple(windows), power_w=fleet.charge_power_w)
+    zone_start = {bus: plan.start_times[zone] for bus, zone in plan.zones.items()}
+    start = np.array([zone_start.get(bus, -1) for bus in fleet.bus.tolist()], dtype=int)
+    return _schedule(fleet, start, _durations(fleet, unzoned=start < 0))
 
 
 def schedule_semi_smart(fleet: FleetSpec) -> ChargeSchedule:
@@ -116,20 +113,16 @@ def schedule_semi_smart(fleet: FleetSpec) -> ChargeSchedule:
     If the computed start precedes the arrival (the rule never checks), the
     window is kept as defined and a per-vehicle warning is emitted.
     """
-    windows = []
-    for ev in fleet.vehicles:
-        n = _duration(ev, fleet)
-        start = (ev.departure - n) % SLOTS_PER_DAY
-        plugged = (ev.departure - ev.arrival) % SLOTS_PER_DAY
-        if n > plugged:
-            warnings.warn(
-                f"vehicle at bus {ev.bus} phase {ev.phase}: {n}-slot charge "
-                f"starts before its arrival {time_of(ev.arrival)}",
-                ScheduleWarning,
-                stacklevel=2,
-            )
-        windows.append(ChargeWindow(ev=ev, start=start, n_slots=n))
-    return ChargeSchedule(windows=tuple(windows), power_w=fleet.charge_power_w)
+    n = _durations(fleet)
+    plugged = (fleet.departure - fleet.arrival) % SLOTS_PER_DAY
+    for i in np.flatnonzero(n > plugged).tolist():
+        warnings.warn(
+            f"vehicle at bus {fleet.bus[i]} phase {PHASES[fleet.phase[i]]}: {n[i]}-slot charge "
+            f"starts before its arrival {time_of(fleet.arrival[i])}",
+            ScheduleWarning,
+            stacklevel=2,
+        )
+    return _schedule(fleet, (fleet.departure - n) % SLOTS_PER_DAY, n)
 
 
 def ev_power_frame(schedule: ChargeSchedule, topology: NetworkTopology) -> np.ndarray:
@@ -140,14 +133,12 @@ def ev_power_frame(schedule: ChargeSchedule, topology: NetworkTopology) -> np.nd
     (bus, phase) and a window of at most one day, so each cell is set once.
     """
     frame = np.zeros((SLOTS_PER_DAY, topology.n_buses, 3))
-    start, bus, phase, n_slots = np.array(
-        [(w.start, w.ev.bus - 1, PHASES.index(w.ev.phase), w.n_slots) for w in schedule.windows],
-        dtype=int,
-    ).reshape(-1, 4).T
+    n_slots = schedule.n_slots
     # each charging slot's offset into its window
     offset = np.arange(n_slots.sum()) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
-    slot = (np.repeat(start, n_slots) + offset) % SLOTS_PER_DAY
-    frame[slot, np.repeat(bus, n_slots), np.repeat(phase, n_slots)] = schedule.power_w
+    slot = (np.repeat(schedule.start, n_slots) + offset) % SLOTS_PER_DAY
+    bus, phase = np.repeat(schedule.bus - 1, n_slots), np.repeat(schedule.phase, n_slots)
+    frame[slot, bus, phase] = schedule.power_w
     return frame
 
 

@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import loads, powerflow, scenario
 from .metrics import compare_scenarios, format_comparison
 from .scenario import STRATEGIES, ScenarioConfig, SimulationError
@@ -93,29 +91,27 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _config(args, strategy="baseline")
-    resolved = cfg.resolved()
-    inputs_topo = scenario.load_topology(resolved.feeder)
-    consumers = scenario.consumers_of(inputs_topo)
-    penetration = args.penetration if args.penetration is not None else 0.6
-    fleet = loads.sample_fleet(consumers, penetration, seed=args.seed)
+    cfg = _config(args, strategy="baseline").resolved()
+    consumers = scenario.consumers_of(scenario.load_topology(cfg.feeder))
+    penetration = cfg.penetration if cfg.penetration is not None else 0.6
+    fleet = loads.sample_fleet(consumers, penetration, seed=cfg.seed)
+    # every input is read before the first file is written
+    curve = loads.load_base_curve(cfg.curve) if args.households else None
     out = args.out or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     fleet_path = out / "fleet.txt"
     loads.save_fleet(fleet, fleet_path)
-    print(f"sampled {len(fleet.vehicles)} vehicles over {len(consumers)} consumers "
+    print(f"sampled {fleet.bus.size} vehicles over {len(consumers)} consumers "
           f"-> {fleet_path}")
-    if args.households:
-        curve = loads.load_base_curve(resolved.curve)
+    if curve is not None:
         households = loads.sample_household_loads(
-            curve, consumers, args.sigma, seed=args.seed
+            curve, consumers, cfg.sigma_fraction, seed=cfg.seed
         )
         hh_path = out / "households.csv"
         scenario._write_rows(
             hh_path, "bus,phase,slot,p_w,q_var",
-            [f"{h.bus},{h.phase}," for h in households],
-            np.stack([h.p for h in households], axis=1),
-            np.stack([h.q for h in households], axis=1),
+            [f"{bus},{phase}," for bus, phase in consumers],
+            households.p.T, households.q.T,
         )
         print(f"wrote {hh_path}")
     return 0

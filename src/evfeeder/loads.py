@@ -3,13 +3,15 @@
 Household demand: every consumer (one per bus and phase) draws an active
 power per slot from a normal distribution centred on a shared 96-point base
 curve with a standard deviation proportional to the curve value, clipped at
-zero. Reactive power follows from a fixed power factor.
+zero. Reactive power follows from a fixed power factor. The draw is one
+(consumers, 96) array each of p and q, returned with the consumer list.
 
 EV fleet: either sampled (battery capacity uniform, arrival/departure/initial
 state of charge truncated normal, all parameters bounded) or loaded from a
-plain-text fleet file. Charging always runs at a fixed rate and targets 95%
-state of charge, so the charge duration in slots is fully determined by the
-vehicle record.
+plain-text fleet file. A fleet is a set of columns with one entry per
+vehicle, checked as whole arrays. Charging always runs at a fixed rate and
+targets 95% state of charge, so the charge duration in slots is fully
+determined by the vehicle record.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,14 +110,12 @@ def save_base_curve(curve: BaseLoadCurve, path: str | Path) -> None:
     Path(path).write_text("".join(f"{float(v)!r}\n" for v in curve.p_base))
 
 
-@dataclass(frozen=True)
-class HouseholdLoad:
-    """One consumer's day of demand."""
+class Households(NamedTuple):
+    """Every consumer's sampled day: row k of p and q belongs to consumers[k]."""
 
-    bus: int
-    phase: str
-    p: np.ndarray  # watts, 96 values
-    q: np.ndarray  # vars, 96 values
+    consumers: list[tuple[int, str]]
+    p: np.ndarray  # watts, (consumers, 96)
+    q: np.ndarray  # vars, (consumers, 96)
 
 
 def sample_household_loads(
@@ -125,12 +126,13 @@ def sample_household_loads(
     seed=0,
     *,
     leading: bool = False,
-) -> list[HouseholdLoad]:
+) -> Households:
     """Draw every consumer's active power per slot, seeded and reproducible.
 
     p[t] ~ Normal(curve[t], sigma_fraction * curve[t]), clipped at zero;
     q[t] follows from the power factor. sigma_fraction = 0 reproduces the
-    curve exactly. One (consumers, 96) draw, which each returned row views.
+    curve exactly. One (consumers, 96) draw, the same stream as drawing one
+    consumer's day after another.
     """
     if not 0 <= sigma_fraction < math.inf:
         raise ValueError(f"sigma_fraction must be in [0, inf), got {sigma_fraction}")
@@ -142,50 +144,81 @@ def sample_household_loads(
     p *= sigma_fraction * curve.p_base
     p += curve.p_base
     np.maximum(p, 0.0, out=p)
-    q = reactive_from_active(p, power_factor, leading=leading)
-    return [HouseholdLoad(b, ph, p_row, q_row) for (b, ph), p_row, q_row in zip(consumers, p, q)]
+    return Households(consumers, p, reactive_from_active(p, power_factor, leading=leading))
 
 
-@dataclass(frozen=True)
-class EvSpec:
-    """One vehicle: where it plugs in and what its battery needs."""
-
-    bus: int
-    phase: str
-    capacity_kwh: float
-    arrival: int    # slot
-    departure: int  # slot
-    initial_soc: float
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ValueError(f"unknown phase {self.phase!r}")
-        if not 0 < self.capacity_kwh < math.inf:
-            raise ValueError(f"capacity {self.capacity_kwh} kWh must be positive and finite")
-        if not 0 <= self.initial_soc <= SOC_TARGET:
-            raise ValueError(f"initial SOC {self.initial_soc} outside [0, {SOC_TARGET}]")
-        if not (0 <= self.arrival < SLOTS_PER_DAY and 0 <= self.departure < SLOTS_PER_DAY):
-            raise ValueError("arrival/departure must be slot indices")
-        if self.arrival == self.departure:
-            raise ValueError("arrival and departure coincide")
+# FleetSpec's per-vehicle columns and their types
+_FLEET_COLUMNS = (
+    ("bus", int), ("phase", int), ("capacity_kwh", float),
+    ("arrival", int), ("departure", int), ("initial_soc", float),
+)
 
 
-@dataclass(frozen=True)
+def _vehicle_fault(phase, capacity_kwh, arrival, departure, initial_soc) -> tuple[int, str] | None:
+    """The first vehicle, in fleet order, that fails a check, and the first check it fails."""
+    def on_day(slot):
+        return (0 <= slot) & (slot < SLOTS_PER_DAY)
+
+    failed = np.stack([
+        (phase < 0) | (phase >= len(PHASES)),
+        ~((0 < capacity_kwh) & (capacity_kwh < math.inf)),
+        ~((0 <= initial_soc) & (initial_soc <= SOC_TARGET)),
+        ~(on_day(arrival) & on_day(departure)),
+        arrival == departure,
+    ])
+    bad = np.flatnonzero(failed.any(axis=0))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    texts = (
+        f"unknown phase index {phase[i]}",
+        f"capacity {capacity_kwh[i]} kWh must be positive and finite",
+        f"initial SOC {initial_soc[i]} outside [0, {SOC_TARGET}]",
+        "arrival/departure must be slot indices",
+        "arrival and departure coincide",
+    )
+    return i, texts[int(failed[:, i].argmax())]
+
+
+@dataclass(frozen=True, eq=False)
 class FleetSpec:
-    """All vehicles on the feeder plus their common charging rate."""
+    """All vehicles on the feeder as read-only columns, one entry per vehicle
+    in fleet order, plus their common charging rate.
 
-    vehicles: tuple[EvSpec, ...]
+    Vehicle k plugs in at ``bus[k]`` on phase ``PHASES[phase[k]]``; arrival
+    and departure are slots. At most one vehicle per (bus, phase).
+    """
+
+    bus: np.ndarray
+    phase: np.ndarray
+    capacity_kwh: np.ndarray
+    arrival: np.ndarray
+    departure: np.ndarray
+    initial_soc: np.ndarray
     charge_power_w: float = DEFAULT_CHARGE_POWER_W
 
     def __post_init__(self):
+        for name, dtype in _FLEET_COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.bus.ndim != 1 or len({getattr(self, n).shape for n, _ in _FLEET_COLUMNS}) != 1:
+            raise ValueError("fleet columns must be one-dimensional and of one length")
+        fault = _vehicle_fault(
+            self.phase, self.capacity_kwh, self.arrival, self.departure, self.initial_soc
+        )
+        if fault is not None:
+            raise ValueError(fault[1])
         if not 0 < self.charge_power_w < math.inf:
             raise ValueError(f"charge power {self.charge_power_w} W must be positive and finite")
-        seen = set()
-        for ev in self.vehicles:
-            key = (ev.bus, ev.phase)
-            if key in seen:
-                raise ValueError(f"two vehicles at bus {ev.bus} phase {ev.phase}")
-            seen.add(key)
+        # a vehicle whose (bus, phase) an earlier one holds; stable order keeps
+        # each spot's first vehicle ahead of its repeats
+        spot = self.bus * len(PHASES) + self.phase
+        order = np.argsort(spot, kind="stable")
+        repeats = order[1:][spot[order[1:]] == spot[order[:-1]]]
+        if repeats.size:
+            k = repeats.min()
+            raise ValueError(f"two vehicles at bus {self.bus[k]} phase {PHASES[self.phase[k]]}")
 
 
 @dataclass(frozen=True)
@@ -239,16 +272,14 @@ def sample_fleet(
 ) -> FleetSpec:
     """Assign EVs to floor(penetration * len(consumers)) consumers.
 
-    Owners are chosen uniformly without replacement; per-vehicle parameters
-    follow `dist`. Fully determined by the seed.
+    Owners are chosen uniformly without replacement and kept in consumer
+    order; per-vehicle parameters follow `dist`. Fully determined by the seed.
     """
     if not 0 <= penetration <= 1:
         raise ValueError("penetration must be in [0, 1]")
     rng = np.random.default_rng(seed)
     count = int(penetration * len(consumers))
-    if count == 0:
-        return FleetSpec(vehicles=(), charge_power_w=charge_power_w)
-    chosen = sorted(rng.choice(len(consumers), size=count, replace=False).tolist())
+    chosen = np.sort(rng.choice(len(consumers), size=count, replace=False))
     capacity = rng.uniform(*dist.capacity_range_kwh, size=count)
     arrival_h = truncated_normal(
         rng, dist.arrival_mean_h, dist.arrival_sd_h, *dist.arrival_range_h, size=count
@@ -257,20 +288,30 @@ def sample_fleet(
         rng, dist.departure_mean_h, dist.departure_sd_h, *dist.departure_range_h, size=count
     )
     soc = truncated_normal(rng, dist.soc_mean, dist.soc_sd, *dist.soc_range, size=count)
-    vehicles = []
-    for i, ci in enumerate(chosen):
-        bus, phase = consumers[ci]
-        vehicles.append(
-            EvSpec(
-                bus=bus,
-                phase=phase,
-                capacity_kwh=float(capacity[i]),
-                arrival=slot_of_hours(float(arrival_h[i])),
-                departure=slot_of_hours(float(departure_h[i])),
-                initial_soc=float(soc[i]),
-            )
-        )
-    return FleetSpec(vehicles=tuple(vehicles), charge_power_w=charge_power_w)
+    owners = [consumers[i] for i in chosen.tolist()]
+    return FleetSpec(
+        bus=np.array([bus for bus, _ in owners], dtype=int),
+        phase=np.array([PHASES.index(phase) for _, phase in owners], dtype=int),
+        capacity_kwh=capacity,
+        arrival=slot_of_hours(arrival_h),
+        departure=slot_of_hours(departure_h),
+        initial_soc=soc,
+        charge_power_w=charge_power_w,
+    )
+
+
+def _parse_vehicle(stmt: str) -> tuple:
+    """One fleet file row as (bus, phase index, capacity, arrival, departure, SOC)."""
+    parts = stmt.split()
+    if len(parts) != 6:
+        raise ValueError(f"expected 6 fields, got {len(parts)}")
+    bus, capacity = int(parts[0]), float(parts[2])
+    arrival, departure, soc = slot_of(parts[3]), slot_of(parts[4]), float(parts[5]) / 100.0
+    if parts[1] not in PHASES:
+        raise ValueError(f"unknown phase {parts[1]!r}")
+    if not -2**63 <= bus < 2**63:  # the bus column holds 64-bit integers
+        raise ValueError(f"bus {bus} is outside every feeder")
+    return bus, PHASES.index(parts[1]), capacity, arrival, departure, soc
 
 
 def load_fleet(
@@ -278,43 +319,42 @@ def load_fleet(
 ) -> FleetSpec:
     """Read a fleet file: `bus phase capacity_kwh arrival departure soc_percent`.
 
-    Initial SOC outside the sampling bounds is accepted with one warning per
-    file listing every such row: the shipped roster takes precedence over
-    the distribution's bounds.
+    A faulty row raises naming the file and its line; of several, the first
+    row. Initial SOC outside the sampling bounds is accepted with one warning
+    per file listing every such row: the shipped roster takes precedence
+    over the distribution's bounds.
     """
     path = Path(fleet_file)
-    lo, hi = EvDistributions().soc_range
-    vehicles = []
-    out_of_range = []
+    rows, linenos = [], []
+
+    def checked_columns() -> list[np.ndarray]:
+        columns = [np.array(column) for column in zip(*rows)] or [np.zeros(0)] * 6
+        fault = _vehicle_fault(*columns[1:])
+        if fault is not None:
+            raise FleetFormatError(f"{path}:{linenos[fault[0]]}: {fault[1]}")
+        return columns
+
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
         if not stmt:
             continue
-        parts = stmt.split()
-        if len(parts) != 6:
-            raise FleetFormatError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
         try:
-            bus = int(parts[0])
-            phase = parts[1]
-            capacity = float(parts[2])
-            arrival = slot_of(parts[3])
-            departure = slot_of(parts[4])
-            soc = float(parts[5]) / 100.0
+            rows.append(_parse_vehicle(stmt))
         except ValueError as exc:
+            checked_columns()  # a fault in an earlier row is reported first
             raise FleetFormatError(f"{path}:{lineno}: {exc}") from None
-        if not lo <= soc <= hi:
-            out_of_range.append(f"line {lineno}: initial SOC {soc:.0%}")
-        try:
-            vehicles.append(
-                EvSpec(bus=bus, phase=phase, capacity_kwh=capacity,
-                       arrival=arrival, departure=departure, initial_soc=soc)
-            )
-        except ValueError as exc:
-            raise FleetFormatError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+    columns = checked_columns()
     try:
-        fleet = FleetSpec(vehicles=tuple(vehicles), charge_power_w=charge_power_w)
+        fleet = FleetSpec(*columns, charge_power_w=charge_power_w)
     except ValueError as exc:
         raise FleetFormatError(f"{path}: {exc}") from None
+    lo, hi = EvDistributions().soc_range
+    out_of_range = [
+        f"line {lineno}: initial SOC {soc:.0%}"
+        for lineno, soc in zip(linenos, fleet.initial_soc.tolist())
+        if not lo <= soc <= hi
+    ]
     if out_of_range:
         warnings.warn(
             f"{path}: initial SOC outside [{lo:.0%}, {hi:.0%}], kept: "
@@ -327,22 +367,29 @@ def load_fleet(
 
 def save_fleet(fleet: FleetSpec, path: str | Path) -> None:
     rows = ["# bus phase capacity_kwh arrival departure initial_soc_percent"]
-    for ev in fleet.vehicles:
+    columns = zip(*(getattr(fleet, name).tolist() for name, _ in _FLEET_COLUMNS))
+    for bus, phase, capacity, arrival, departure, soc in columns:
         rows.append(
-            f"{ev.bus} {ev.phase} {ev.capacity_kwh!r} "
-            f"{time_of(ev.arrival)} {time_of(ev.departure)} {ev.initial_soc * 100!r}"
+            f"{bus} {PHASES[phase]} {capacity!r} "
+            f"{time_of(arrival)} {time_of(departure)} {soc * 100!r}"
         )
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def charge_duration_slots(ev: EvSpec, charge_power_w: float = DEFAULT_CHARGE_POWER_W) -> int:
-    """Slots of fixed-rate charging needed to reach the 95% SOC target.
+def charge_duration_slots(
+    capacity_kwh, initial_soc, charge_power_w: float = DEFAULT_CHARGE_POWER_W
+) -> np.ndarray:
+    """Slots of fixed-rate charging each vehicle needs to reach the 95% SOC target.
 
     energy deficit [kWh] / rate [kW], rounded up to whole slots so the
-    target is always met or exceeded. The rounding tolerates float noise so
-    exact multiples of a slot do not spill into an extra one.
+    target is always met or exceeded. Each value is rounded to nine places
+    with the built-in round() first, which tolerates float noise so exact
+    multiples of a slot do not spill into an extra one; np.round rounds
+    differently. Takes arrays or scalars, and returns their shape.
     """
     if charge_power_w <= 0:
         raise ValueError("charge power must be positive")
-    hours = ev.capacity_kwh * max(SOC_TARGET - ev.initial_soc, 0.0) / (charge_power_w / 1000.0)
-    return math.ceil(round(hours / SLOT_HOURS, 9))
+    deficit = np.maximum(SOC_TARGET - np.asarray(initial_soc, dtype=float), 0.0)
+    slots = np.multiply(capacity_kwh, deficit) / (charge_power_w / 1000.0) / SLOT_HOURS
+    ceil = [math.ceil(round(x, 9)) for x in np.ravel(slots).tolist()]
+    return np.array(ceil, dtype=int).reshape(slots.shape)

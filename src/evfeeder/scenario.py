@@ -8,9 +8,11 @@ only where an EV charges, a trial solves its distinct demand rows once, as one
 batch: the household row of every slot some strategy leaves without EV power,
 and a strategy's own row where it charges. The solved batch is reduced once,
 row by row, and each strategy gathers its day from those rows through a (96,)
-row index. A run feeds its trials' batches to one solver stream, which
-samples the next trial only when it has room for its rows, so that one
-trial's slowest slots iterate alongside the next ones'.
+row index. A trial's inputs are whole arrays: the household draw reshaped into
+the frame, the fleet and each schedule as columns, and an EV frame only for
+the strategies that charge. A run feeds its trials' batches to one solver
+stream, which samples the next trial only when it has room for its rows, so
+that one trial's slowest slots iterate alongside the next ones'.
 
 Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import time
 from collections.abc import Iterator
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import charging, loads, metrics, powerflow
 from .charging import ChargeSchedule, ZonePlan
-from .loads import FleetSpec, HouseholdLoad
+from .loads import FleetSpec, Households
 from .metrics import ScenarioReport
 from .network import PHASES, WIRES, NetworkTopology, load_topology
 from .powerflow import HorizonState, InfeasibleInjectionError
@@ -103,6 +106,8 @@ class ScenarioConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.sigma_fraction < math.inf:
+            raise ValueError(f"sigma_fraction must be in [0, inf), got {self.sigma_fraction}")
         if self.penetration is not None and not 0 <= self.penetration <= 1:
             raise ValueError("penetration must be in [0, 1]")
         if self.penetration is not None and self.fleet_file:
@@ -134,17 +139,20 @@ def trial_seeds(seed: int, trials: int) -> list[dict[str, int]]:
     ]
 
 
-def household_frame(
-    households: list[HouseholdLoad], topology: NetworkTopology
-) -> np.ndarray:
-    """Complex (96, n_buses, 3) household demand frame in volt-amperes."""
+def household_frame(households: Households, topology: NetworkTopology) -> np.ndarray:
+    """Complex (96, n_buses, 3) household demand frame in volt-amperes.
+
+    The households must be ``consumers_of(topology)``: one per bus and phase,
+    bus-major, so that each slot's column of the draw is that slot's frame.
+    """
+    if list(households.consumers) != consumers_of(topology):
+        raise ValueError("household demand needs one consumer per bus and phase, "
+                         "in consumers_of order")
     frame = np.zeros((SLOTS_PER_DAY, topology.n_buses, 3), dtype=complex)
-    bus = [h.bus - 1 for h in households]
-    phase = [PHASES.index(h.phase) for h in households]
-    # each part in list order, as one consumer at a time would; p + jq at once
-    # would hold two complex temporaries of every consumer's day
-    np.add.at(frame.real, (slice(None), bus, phase), np.stack([h.p for h in households], 1))
-    np.add.at(frame.imag, (slice(None), bus, phase), np.stack([h.q for h in households], 1))
+    # added onto the zeros, not assigned: the sum turns the -0.0 a leading pf
+    # draws at zero power into +0.0
+    frame.real += households.p.T.reshape(SLOTS_PER_DAY, -1, 3)
+    frame.imag += households.q.T.reshape(SLOTS_PER_DAY, -1, 3)
     return frame
 
 
@@ -214,13 +222,13 @@ class _Inputs:
         self.file_fleet = None
         if self.needs_fleet and cfg.fleet_file is not None:
             self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
-            n = self.topology.n_buses
-            for ev in self.file_fleet.vehicles:
-                if not 1 <= ev.bus <= n:
-                    raise ValueError(
-                        f"{cfg.fleet_file}: vehicle at bus {ev.bus} is outside the "
-                        f"feeder's {n} buses"
-                    )
+            n, bus = self.topology.n_buses, self.file_fleet.bus
+            outside = np.flatnonzero((bus < 1) | (bus > n))
+            if outside.size:
+                raise ValueError(
+                    f"{cfg.fleet_file}: vehicle at bus {bus[outside[0]]} is outside the "
+                    f"feeder's {n} buses"
+                )
 
     def fleet_for_trial(self, fleet_seed: int) -> FleetSpec | None:
         if self.file_fleet is not None or not self.needs_fleet:
@@ -232,7 +240,7 @@ class _Inputs:
             seed=fleet_seed,
         )
 
-    def households_for_trial(self, household_seed: int) -> list[HouseholdLoad]:
+    def households_for_trial(self, household_seed: int) -> Households:
         return loads.sample_household_loads(
             self.curve,
             self.consumers,
@@ -252,14 +260,15 @@ def _trial_rows(inputs: _Inputs, seeds: dict, strategies: tuple) -> tuple[np.nda
     cfg, topo = inputs.cfg, inputs.topology
     frame = household_frame(inputs.households_for_trial(seeds["household"]), topo)
     fleet = inputs.fleet_for_trial(seeds["fleet"])
-    evs = {s: np.zeros(frame.shape) for s in strategies}  # the baseline's stays zero
+    evs = {}  # only for the strategies that charge
     for strategy in strategies:
         schedule = build_schedule(
             strategy, fleet, timer_start=cfg.timer_start, zone_plan=inputs.zone_plan
         )
         if schedule is not None:
             evs[strategy] = charging.ev_power_frame(schedule, topo)
-    own = {s: ev.any(axis=(1, 2)) for s, ev in evs.items()}
+    no_ev = np.zeros(SLOTS_PER_DAY, dtype=bool)
+    own = {s: evs[s].any(axis=(1, 2)) if s in evs else no_ev for s in strategies}
     shared = ~np.logical_and.reduce(list(own.values()))
     ends = np.cumsum([shared.sum()] + [mask.sum() for mask in own.values()])
     rows = np.empty((ends[-1],) + frame.shape[1:], dtype=complex)
@@ -268,7 +277,8 @@ def _trial_rows(inputs: _Inputs, seeds: dict, strategies: tuple) -> tuple[np.nda
     for (strategy, mask), start, stop in zip(own.items(), ends, ends[1:]):
         days[strategy] = np.cumsum(shared) - 1
         days[strategy][mask] = np.arange(start, stop)
-        np.add(frame[mask], evs[strategy][mask], out=rows[start:stop])
+        if strategy in evs:
+            np.add(frame[mask], evs[strategy][mask], out=rows[start:stop])
     return rows, days
 
 

@@ -6,6 +6,8 @@ The horizon is a single day of 96 slots of 15 minutes; slot 0 starts at
 
 from __future__ import annotations
 
+import numpy as np
+
 SLOTS_PER_DAY = 96
 SLOT_HOURS = 0.25
 
@@ -33,11 +35,6 @@ def time_of(slot: int) -> str:
     return f"{slot // 4:02d}:{(slot % 4) * 15:02d}"
 
 
-def slot_of_hours(hours: float) -> int:
-    """Round a clock time in hours to the nearest slot, modulo one day."""
-    return int(hours * 4 + 0.5) % SLOTS_PER_DAY
-
-
-def window_slots(start: int, length: int) -> list[int]:
-    """Slot indices covered by a window of `length` slots starting at `start`."""
-    return [(start + k) % SLOTS_PER_DAY for k in range(length)]
+def slot_of_hours(hours):
+    """Round clock times in hours to the nearest slot, modulo one day; arrays too."""
+    return (np.asarray(hours) * 4 + 0.5).astype(int) % SLOTS_PER_DAY

@@ -155,17 +155,19 @@ def test_criterion_4_charge_energy_and_departures(fleet34):
     """All 34 vehicles hit the 95% target with < 0.875 kWh surplus and the
     semi-smart window of each ends exactly at its listed departure."""
     sched = build_schedule("semismart", fleet34)
-    assert len(sched.windows) == 34
-    worst_surplus = 0.0
-    for w in sched.windows:
-        slots = charge_duration_slots(w.ev, fleet34.charge_power_w)
-        assert w.n_slots == slots
-        delivered = slots * 0.25 * fleet34.charge_power_w / 1000.0
-        needed = w.ev.capacity_kwh * (0.95 - w.ev.initial_soc)
-        surplus = delivered - needed
-        assert surplus > -1e-9, (w.ev.bus, w.ev.phase)
-        worst_surplus = max(worst_surplus, surplus)
-        assert w.end == w.ev.departure, (w.ev.bus, w.ev.phase)
+    assert sched.n_slots.size == 34
+    slots = charge_duration_slots(
+        fleet34.capacity_kwh, fleet34.initial_soc, fleet34.charge_power_w
+    )
+    assert np.array_equal(sched.n_slots, slots)
+    delivered = slots * 0.25 * fleet34.charge_power_w / 1000.0
+    needed = fleet34.capacity_kwh * (0.95 - fleet34.initial_soc)
+    surplus = delivered - needed
+    short = np.flatnonzero(surplus <= -1e-9)
+    assert not short.size, [(fleet34.bus[k], fleet34.phase[k]) for k in short]
+    worst_surplus = max(0.0, float(surplus.max()))
+    late = np.flatnonzero((sched.start + sched.n_slots) % SLOTS_PER_DAY != fleet34.departure)
+    assert not late.size, [(fleet34.bus[k], fleet34.phase[k]) for k in late]
     ok = worst_surplus < 0.875
     _verdict(4, f"charge energy and departures (max surplus {worst_surplus:.3f} kWh)", ok)
     assert worst_surplus < 0.875

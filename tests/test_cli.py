@@ -169,6 +169,14 @@ def test_bad_numeric_option_exits_cleanly(capsys, option, value, name):
     assert err[0].startswith(f"error: {name} must be")
 
 
+def test_sample_with_bad_sigma_writes_nothing(tmp_path, capsys):
+    rc = main(["sample", "--sigma", "nan", "--households", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sigma_fraction must be in [0, inf), got nan"]
+    assert not (tmp_path / "out" / "fleet.txt").exists()
+
+
 def test_penetration_with_fleet_file_exits_cleanly(capsys):
     rc = main(["run", "--strategy", "uncontrolled", "--fleet", str(default_fleet_path()),
                "--penetration", "0.5"])

