@@ -167,12 +167,3 @@ def load_zone_plan(path: str | Path) -> ZonePlan:
                 raise ValueError(f"{path}:{lineno}: bus {b} already in zone {zones[b]}")
             zones[b] = zone
     return ZonePlan(zones=zones, start_times=starts)
-
-
-def save_zone_plan(plan: ZonePlan, path: str | Path) -> None:
-    rows = ["# zone <number> <charging start> <buses>"]
-    for zone in sorted(plan.start_times):
-        buses = sorted(b for b, z in plan.zones.items() if z == zone)
-        rows.append(f"zone {zone} {time_of(plan.start_times[zone])} "
-                    + ",".join(str(b) for b in buses))
-    Path(path).write_text("\n".join(rows) + "\n")

@@ -106,10 +106,6 @@ def load_base_curve(path: str | Path) -> BaseLoadCurve:
     return BaseLoadCurve(np.array(values))
 
 
-def save_base_curve(curve: BaseLoadCurve, path: str | Path) -> None:
-    Path(path).write_text("".join(f"{float(v)!r}\n" for v in curve.p_base))
-
-
 class Households(NamedTuple):
     """Every consumer's sampled day: row k of p and q belongs to consumers[k]."""
 
@@ -252,15 +248,6 @@ def truncated_normal(rng, mean: float, sd: float, low: float, high: float, size:
         out[bad] = rng.normal(mean, sd, int(bad.sum()))
         bad = (out < low) | (out > high)
     return out
-
-
-def truncated_normal_mean(mean: float, sd: float, low: float, high: float) -> float:
-    """Exact mean of the truncated normal, for statistical oracles."""
-    a = (low - mean) / sd
-    b = (high - mean) / sd
-    phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-    return mean + sd * (phi(a) - phi(b)) / (cdf(b) - cdf(a))
 
 
 def sample_fleet(

@@ -1,24 +1,26 @@
 """Reduction of a solved day into the reported study quantities.
 
-A trial's batch is reduced once, row by row: :func:`reduce_rows` turns every
-solved row into the per-unit voltages, the line current magnitudes, and the
-row's series losses and slack/load powers, whichever strategies read it.
-:func:`reduce_horizon` then gathers one strategy's 96 slots from those float
-rows through its row index, locates the extremes on the voltages and sums
-the energies in slot order. Losses are resistive I^2 R over every conductor
-including the neutral, integrated over the day. Voltages are reported per
-unit as |v_phase - v_neutral| / v_base for the phases and |v_neutral| /
-v_base for the neutral wire.
+Each solved row is reduced once, as it leaves the solver, whichever
+strategies read it: :func:`row_sink` turns it into the per-unit voltages,
+the line current magnitudes, and the row's series losses and slack/load
+powers, so a run holds no complex state per trial. :func:`reduce_horizon`
+then gathers one strategy's 96 slots from those float rows through its row
+index, locates the extremes on the voltages and sums the energies in slot
+order. Losses are resistive I^2 R over every conductor including the
+neutral, integrated over the day. Voltages are reported per unit as
+|v_phase - v_neutral| / v_base for the phases and |v_neutral| / v_base for
+the neutral wire.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import PHASES, NetworkTopology
-from .powerflow import HorizonState, slot_chunks
+from .powerflow import collapse_error, collapse_points
 from .slots import SLOT_HOURS, SLOTS_PER_DAY
 
 
@@ -66,25 +68,32 @@ class ScenarioReport:
 
 def _extremum(pu: np.ndarray, arg) -> Extremum:
     """Locate ``arg`` (np.argmin or np.argmax) over a (slot, bus) array."""
-    t, b = np.unravel_index(int(arg(pu)), pu.shape)
+    t, b = divmod(int(arg(pu)), pu.shape[1])
     return Extremum(value_pu=float(pu[t, b]), bus=int(b) + 1, slot=int(t))
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sum of each slot's values; row by row, bitwise the per-slot np.sum."""
-    return np.sum(x.reshape(len(x), -1), axis=1)
+    return np.add.reduce(x.reshape(len(x), -1), axis=1)
+
+
+SolvedRow = namedtuple("SolvedRow", "iterations max_dv converged")
 
 
 @dataclass
 class ReducedRows:
     """The report quantities of each row of a solved batch, row-major.
 
-    voltage_pu -- (rows, n_buses, 4) per-unit magnitudes, phases then neutral
-    current_a  -- (rows, n_lines, 4) line current magnitudes, amperes
-    loss_kw    -- (rows,) series losses
-    slack_w    -- (rows,) active power supplied at the slack bus
-    load_w     -- (rows,) active power delivered to the loads
-    converged  -- (rows,) bool, the solver's flag
+    voltage_pu  -- (rows, n_buses, 4) per-unit magnitudes, phases then neutral
+    current_a   -- (rows, n_lines, 4) line current magnitudes, amperes
+    loss_kw     -- (rows,) series losses
+    slack_w     -- (rows,) active power supplied at the slack bus
+    load_w      -- (rows,) active power delivered to the loads
+    iterations, max_dv, converged, collapsed -- (rows,) as in HorizonState
+    collapse_at -- (rows,) where a collapsed row fell, ``3 * bus_index + phase``
+    collapse_v  -- (rows,) and its |v_x - v_n| there, volts
+
+    ``rows[t]`` is row t's SolvedRow, how the solver fared on it.
     """
 
     voltage_pu: np.ndarray
@@ -92,36 +101,67 @@ class ReducedRows:
     loss_kw: np.ndarray
     slack_w: np.ndarray
     load_w: np.ndarray
+    iterations: np.ndarray
+    max_dv: np.ndarray
     converged: np.ndarray
+    collapsed: np.ndarray
+    collapse_at: np.ndarray
+    collapse_v: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_rows: int, topology: NetworkTopology) -> "ReducedRows":
+        n, m = topology.n_buses, len(topology.lines)
+        rows = cls(np.zeros((n_rows, n, 4)), np.zeros((n_rows, m, 4)), *(
+            np.zeros(n_rows, d) for d in (float, float, float, int, float, bool, bool, int, float)))
+        rows.max_dv[:] = np.inf
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.iterations)
+
+    def __getitem__(self, t: int) -> SolvedRow:
+        return SolvedRow(int(self.iterations[t]), float(self.max_dv[t]), bool(self.converged[t]))
+
+    def check_collapse(self, t: int, topology: NetworkTopology) -> None:
+        """Raise InfeasibleInjectionError if row t fell under the floor."""
+        if self.collapsed[t]:
+            at, volts = self.collapse_at[t], self.collapse_v[t]
+            raise collapse_error(at, volts, self.iterations[t], topology)
 
 
-def reduce_rows(day: HorizonState, topology: NetworkTopology) -> ReducedRows:
-    """Reduce every row of a solved batch once, whichever strategies read it.
+def row_sink(topology: NetworkTopology) -> tuple:
+    """The solver sink ``(make, reduce)`` that reduces each slot as it leaves.
 
-    The slack and load powers are summed as complex products, each row on its
-    own, and their real parts kept.
+    ``reduce`` replaces the leaving slots' v, i_line and i_load by their
+    ReducedRows quantities, and a collapsed slot's v by where it fell. Slack
+    and load powers are complex products summed row by row; the real parts kept.
     """
-    n_rows = len(day)
-    frm, _, z = topology.line_arrays
-    r = z.real
-    voltage_pu = np.empty((n_rows, topology.n_buses, 4))
-    current_a = np.empty((n_rows, len(topology.lines), 4))
-    loss_kw = np.empty(n_rows)
-    slack_va = np.empty(n_rows, dtype=complex)
-    load_va = np.empty(n_rows, dtype=complex)
-    # in chunks of the solver's largest active set, which bound the temporaries
-    for c in slot_chunks(n_rows, topology):
-        v, i_line, i_load = day.v[c], day.i_line[c], day.i_load[c]
+    r = topology.line_arrays[2].real
+    slack_lines = np.flatnonzero(topology.line_arrays[0] == 0)
+
+    def reduce(values: dict) -> dict:
+        v = values.pop("v")
+        if "i_line" not in values:
+            values["collapse_at"], values["collapse_v"] = collapse_points(v)
+            return values
+        i_line, i_load = values.pop("i_line"), values.pop("i_load")
         u = v[..., :3] - v[..., 3:4]
-        voltage_pu[c, :, :3] = np.abs(u) / topology.v_base
-        voltage_pu[c, :, 3] = np.abs(v[..., 3]) / topology.v_base
-        current_a[c] = np.abs(i_line)
-        loss_kw[c] = _row_sums(current_a[c] ** 2 * r) / 1e3
+        voltage_pu = np.empty_like(v, dtype=float)
+        np.abs(u, out=voltage_pu[..., :3])
+        np.abs(v[..., 3], out=voltage_pu[..., 3])
+        voltage_pu /= topology.v_base
+        current_a = np.abs(i_line)
+        loss_w = np.square(current_a)
+        loss_w *= r
+        load_va = u * np.conj(i_load)
         # supplied through the slack's lines plus served at the slack bus
-        slack_va[c] = _row_sums(v[:, :1] * np.conj(i_line[:, frm == 0]))
-        slack_va[c] += _row_sums(u[:, 0] * np.conj(i_load[:, 0]))
-        load_va[c] = _row_sums(u * np.conj(i_load))
-    return ReducedRows(voltage_pu, current_a, loss_kw, slack_va.real, load_va.real, day.converged)
+        slack_va = _row_sums(v[:, :1] * np.conj(i_line[:, slack_lines]))
+        slack_va += _row_sums(load_va[:, 0])
+        values.update(voltage_pu=voltage_pu, current_a=current_a, slack_w=slack_va.real,
+                      loss_kw=_row_sums(loss_w) / 1e3, load_w=_row_sums(load_va).real)
+        return values
+
+    return lambda n_rows: ReducedRows.zeros(n_rows, topology), reduce
 
 
 def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> ScenarioReport:

@@ -300,8 +300,3 @@ def format_topology(topology: NetworkTopology) -> str:
 
 def save_topology(topology: NetworkTopology, path: str | Path) -> None:
     Path(path).write_text(format_topology(topology))
-
-
-def loads_topology(text: str) -> NetworkTopology:
-    """Parse a feeder description from a string (used by round-trip checks)."""
-    return _parse_feeder_text(text, "<string>")

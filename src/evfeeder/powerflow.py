@@ -11,9 +11,10 @@ slots leave, the next ones in batch and slot order take their places, up to
 ``CHUNK_BUS_SLOTS`` bus-slots and the widest batch fed so far. Two batches
 may always be in flight, a third or later one only while those in flight
 hold at most ``CHUNK_BUS_SLOTS`` bus-slots in all. It iterates bus-major,
-on (bus, slot, wire) arrays, stores each slot slot-major in its batch's
-:class:`HorizonState` as it leaves, and yields each batch's state in order
-once its last slot has left.
+on (bus, slot, wire) arrays. The slots leaving in an iteration pass, in bus
+and line order, through a sink into their batches' states: slot-major in a
+:class:`HorizonState`, or, in a run, reduced at once to float report rows
+(``metrics.row_sink``). Each batch's state is yielded once it is complete.
 
 * :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
@@ -164,16 +165,27 @@ class HorizonState:
 
     def check_collapse(self, t: int, topology: NetworkTopology) -> None:
         """Raise InfeasibleInjectionError if slot t fell under the floor."""
-        if not self.collapsed[t]:
-            return
-        floor = VOLTAGE_FLOOR_PU * topology.v_base
-        mag = np.abs(self[t].phase_to_neutral())
-        b, p = np.unravel_index(int(np.argmin(mag)), mag.shape)
-        raise InfeasibleInjectionError(
-            f"|v_{WIRES[p]} - v_n| at bus {b + 1} fell to "
-            f"{mag[b, p]:.1f} V (< {floor:.1f} V) in iteration {self.iterations[t]}; "
-            "the injections exceed what the feeder can deliver"
-        )
+        if self.collapsed[t]:
+            at, volts = collapse_points(self.v[t:t + 1])
+            raise collapse_error(at[0], volts[0], self.iterations[t], topology)
+
+
+def collapse_points(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's first least |v_x - v_n| in (bus, phase) order: 3 * bus_index + phase, volts."""
+    mag = np.abs(v[..., :3] - v[..., 3:4]).reshape(len(v), -1)
+    at = mag.argmin(axis=1)
+    return at, mag[np.arange(len(v)), at]
+
+
+def collapse_error(at: int, volts: float, iteration: int, topology: NetworkTopology):
+    """The InfeasibleInjectionError naming where a slot fell under the floor."""
+    b, p = divmod(int(at), 3)
+    floor = VOLTAGE_FLOOR_PU * topology.v_base
+    return InfeasibleInjectionError(
+        f"|v_{WIRES[p]} - v_n| at bus {b + 1} fell to "
+        f"{volts:.1f} V (< {floor:.1f} V) in iteration {iteration}; "
+        "the injections exceed what the feeder can deliver"
+    )
 
 
 def _as_injection_array(topology: NetworkTopology, injections, batched=False) -> np.ndarray:
@@ -202,12 +214,6 @@ def _injection_currents(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     neutral += i_load[..., 2]
     np.negative(neutral, out=neutral)
     return drawn
-
-
-def slot_chunks(n_slots: int, topology: NetworkTopology) -> list[slice]:
-    """Consecutive slices of at most CHUNK_BUS_SLOTS bus-slots, at least one slot each."""
-    size = max(1, CHUNK_BUS_SLOTS // topology.n_buses)
-    return [slice(t, t + size) for t in range(0, n_slots, size)]
 
 
 def _leaving(ids: np.ndarray, mask: np.ndarray, flight: list) -> np.ndarray:
@@ -249,11 +255,12 @@ def _fixed_point(
     max_iterations: int,
     step,
     order: np.ndarray | None = None,
-) -> Iterator[HorizonState]:
+    sink: tuple | None = None,
+) -> Iterator:
     """Iterate ``step(drawn, v) -> (v_new, i_line)`` on a stream of (slots, n, 3) arrays.
 
-    Yields each batch's HorizonState, in feed order, once its last slot has
-    left. Every slot starts from the slack phasors and iterates on its own:
+    Yields each batch's state, in feed order, once its last slot has left.
+    Every slot starts from the slack phasors and iterates on its own:
     it leaves when its largest voltage change falls under the tolerance,
     when a phase-to-neutral voltage falls under the floor, or after
     `max_iterations`. One active set holds the slots being iterated,
@@ -265,8 +272,9 @@ def _fixed_point(
     CHUNK_BUS_SLOTS bus-slots, so that small feeders solve several batches
     ahead and large ones keep to two. Rows are buses and lines as numbered,
     or with `order` the bus in each row, and then row r of i_line is the
-    line feeding the bus in row r + 1. Each slot leaves straight into its
-    batch's state, in bus and line order.
+    line feeding the bus in row r + 1. A `sink` ``(make, reduce)`` makes each
+    batch's state and turns the slots leaving in an iteration, in bus and
+    line order, into what is stored per slot; by default HorizonStates.
     """
     tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
     if not 0 < tol < np.inf:
@@ -282,6 +290,7 @@ def _fixed_point(
         bus_rows = np.argsort(order)  # the row of each bus
         line_rows = bus_rows[topology.line_arrays[1]] - 1
     cap = max(1, CHUNK_BUS_SLOTS // n)
+    make, reduce = sink or (lambda k: HorizonState.zeros(k, topology), lambda values: values)
     batches = iter(batches)
     # [state, id of its first slot, slots yet to leave] per batch pulled and
     # not yet yielded, slots numbered in feed order; `feeding` holds the rows
@@ -301,9 +310,7 @@ def _fixed_point(
                 if full or (batch := next(batches, None)) is None:
                     break
                 feeding, batch = _as_injection_array(topology, batch, batched=True), None
-                flight.append(
-                    [HorizonState.zeros(len(feeding), topology), next_id + k, len(feeding)]
-                )
+                flight.append([make(len(feeding)), next_id + k, len(feeding)])
                 width = max(width, len(feeding))
                 continue
             new.append(feeding[:room])
@@ -339,11 +346,11 @@ def _fixed_point(
         collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
         if collapsed.any():
             gone = _leaving(ids, collapsed, flight)
-            _store(flight, ids[gone], {
+            _store(flight, ids[gone], reduce({
                 "v": np.take(v, gone, axis=1)[bus_rows].swapaxes(0, 1),
                 "iterations": counts[gone],
                 "collapsed": np.ones(len(gone), dtype=bool),
-            })
+            }))
             ids, counts, s_active, v, u = _compress(~collapsed, ids, counts, s_active, v, u)
             if not len(ids):
                 continue
@@ -355,14 +362,14 @@ def _fixed_point(
         done = (dv < tol) | (counts == max_iterations)
         if done.any():
             free = _leaving(ids, done, flight)
-            _store(flight, ids[free], {
+            _store(flight, ids[free], reduce({
                 "v": np.take(v, free, axis=1)[bus_rows].swapaxes(0, 1),
                 "i_line": np.take(i_line, free, axis=1)[line_rows].swapaxes(0, 1),
                 "i_load": np.take(drawn[..., :3], free, axis=1)[bus_rows].swapaxes(0, 1),
                 "iterations": counts[free],
                 "max_dv": dv[free],
                 "converged": dv[free] < tol,
-            })
+            }))
         del drawn, v_new, i_line  # not held while suspended at a yield
 
 
@@ -396,15 +403,18 @@ def solve_stream(
     *,
     tolerance: float | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> Iterator[HorizonState]:
+    sink: tuple | None = None,
+) -> Iterator:
     """Backward-forward sweep solve of a stream of (slots, n_buses, 3) batches.
 
     Yields each batch's HorizonState in order, as solve_batch would return
-    it. Batches are pulled from `batches` only as the solver makes room for
+    it, or with a `sink` (see _fixed_point) each batch's state of the sink.
+    Batches are pulled from `batches` only as the solver makes room for
     their rows, after every row of the one before has entered, so that the
     slots of the next batch iterate with the last ones of this one.
     """
-    return _fixed_point(topology, batches, tolerance, max_iterations, *_sweep_step(topology))
+    step, order = _sweep_step(topology)
+    return _fixed_point(topology, batches, tolerance, max_iterations, step, order, sink)
 
 
 def solve_batch(

@@ -6,13 +6,14 @@ all five strategies against bitwise-identical household draws, so any
 difference between the reports isolates the strategy. As the strategies differ
 only where an EV charges, a trial solves its distinct demand rows once, as one
 batch: the household row of every slot some strategy leaves without EV power,
-and a strategy's own row where it charges. The solved batch is reduced once,
-row by row, and each strategy gathers its day from those rows through a (96,)
-row index. A trial's inputs are whole arrays: the household draw reshaped into
-the frame, the fleet and each schedule as columns, and an EV frame only for
-the strategies that charge. A run feeds its trials' batches to one solver
-stream, which samples the next trial only when it has room for its rows, so
-that one trial's slowest slots iterate alongside the next ones'.
+and a strategy's own row where it charges. Each row is reduced to floats as it
+leaves the solver, so no complex state is kept per trial, and each strategy
+gathers its day from those rows through a (96,) row index. A trial's inputs
+are whole arrays: the household draw reshaped into the frame, the fleet and
+each schedule as columns, and an EV frame only for the strategies that
+charge. A run feeds its trials' batches to one solver stream, which samples
+the next trial only when it has room for its rows, so that one trial's
+slowest slots iterate alongside the next ones'.
 
 Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
@@ -38,7 +39,7 @@ import numpy as np
 from . import charging, loads, metrics, powerflow
 from .charging import ChargeSchedule, ZonePlan
 from .loads import FleetSpec, Households
-from .metrics import ScenarioReport
+from .metrics import ReducedRows, ScenarioReport
 from .network import PHASES, WIRES, NetworkTopology, load_topology
 from .powerflow import HorizonState, InfeasibleInjectionError
 from .slots import SLOTS_PER_DAY, slot_of
@@ -181,9 +182,9 @@ def build_schedule(
 
 def solve_horizon(
     topology: NetworkTopology,
-    stream: Iterator[HorizonState],
+    stream: Iterator[ReducedRows | HorizonState],
     days: dict[str, np.ndarray],
-) -> HorizonState:
+) -> ReducedRows | HorizonState:
     """Take a trial's solved (n_rows, n_buses, 3) demand rows, the next state of `stream`.
 
     ``days`` maps each strategy to the (96,) index of its slots' rows; it is
@@ -272,13 +273,15 @@ def _trial_rows(inputs: _Inputs, seeds: dict, strategies: tuple) -> tuple[np.nda
     shared = ~np.logical_and.reduce(list(own.values()))
     ends = np.cumsum([shared.sum()] + [mask.sum() for mask in own.values()])
     rows = np.empty((ends[-1],) + frame.shape[1:], dtype=complex)
-    rows[: ends[0]] = frame[shared]
+    np.compress(shared, frame, axis=0, out=rows[: ends[0]])
     days = {}
     for (strategy, mask), start, stop in zip(own.items(), ends, ends[1:]):
         days[strategy] = np.cumsum(shared) - 1
         days[strategy][mask] = np.arange(start, stop)
         if strategy in evs:
-            np.add(frame[mask], evs[strategy][mask], out=rows[start:stop])
+            # complex + float, as np.add: a -0.0 imaginary part becomes +0.0
+            out = np.compress(mask, frame, axis=0, out=rows[start:stop])
+            out += np.compress(mask, evs.pop(strategy), axis=0)
     return rows, days
 
 
@@ -321,21 +324,20 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
     stream = powerflow.solve_stream(
         topo, map(rows_of, seeds, days_of),
         tolerance=cfg.tolerance, max_iterations=cfg.max_iterations,
+        sink=metrics.row_sink(topo),  # each slot's float rows, as it leaves
     )
     reports: dict[str, ScenarioReport] = {}
     per_trial: dict[str, list[dict]] = {s: [] for s in strategies}
     for i, days in enumerate(days_of):
         try:
-            solved = solve_horizon(topo, stream, days)
+            rows = solve_horizon(topo, stream, days)
         except SimulationError as exc:
             raise SimulationError(f"trial {i}: {exc}") from None
-        rows = metrics.reduce_rows(solved, topo)
-        del solved  # the complex state is not held through the gathers
         for strategy, index in days.items():
             report = metrics.reduce_horizon(strategy, rows, index)
             per_trial[strategy].append(report.summary())
             reports.setdefault(strategy, report)
-        del rows, report  # nor the float rows through the next trial's solve
+        del rows, report  # the float rows are not held through the next trial's solve
     for strategy, report in reports.items():
         report.extra["per_trial"] = per_trial[strategy]
         report.extra["aggregate"] = _aggregate(per_trial[strategy])

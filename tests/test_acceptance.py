@@ -18,9 +18,8 @@ from evfeeder.loads import (
     charge_duration_slots,
     load_fleet,
     truncated_normal,
-    truncated_normal_mean,
 )
-from evfeeder.network import load_topology, loads_topology
+from evfeeder.network import load_topology
 from evfeeder.powerflow import (
     InfeasibleInjectionError,
     kcl_residual,
@@ -41,6 +40,8 @@ from evfeeder.scenario import (
 )
 from evfeeder.slots import SLOTS_PER_DAY
 
+from test_loads import truncated_normal_mean
+from test_network import loads_topology
 from test_powerflow import base_current, random_injections, random_radial
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")

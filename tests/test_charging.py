@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from evfeeder.charging import (
     ZonePlan,
     ev_power_frame,
     load_zone_plan,
-    save_zone_plan,
     schedule_semi_smart,
     schedule_timer,
     schedule_uncontrolled,
@@ -164,6 +164,15 @@ def test_zoned_missing_bus_errors(fleet34):
     plan = ZonePlan(zones={1: 1}, start_times={1: 0})
     with pytest.raises(SchedulingError, match="no zone"):
         schedule_zoned(fleet34, plan)
+
+
+def save_zone_plan(plan: ZonePlan, path) -> None:
+    rows = ["# zone <number> <charging start> <buses>"]
+    for zone in sorted(plan.start_times):
+        buses = sorted(b for b, z in plan.zones.items() if z == zone)
+        rows.append(f"zone {zone} {time_of(plan.start_times[zone])} "
+                    + ",".join(str(b) for b in buses))
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def test_zone_plan_round_trip(tmp_path, zones3):

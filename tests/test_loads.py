@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from evfeeder.loads import (
     reactive_from_active,
     sample_fleet,
     sample_household_loads,
-    save_base_curve,
     save_fleet,
     truncated_normal,
-    truncated_normal_mean,
 )
 from evfeeder.network import load_topology
 from evfeeder.scenario import (
@@ -62,6 +61,19 @@ def test_default_curve_scales_with_peak():
 def test_shipped_curve_file_matches_default_scaled():
     curve = load_base_curve(default_curve_path())
     assert np.array_equal(curve.p_base, default_base_curve(700.0).p_base)
+
+
+def truncated_normal_mean(mean: float, sd: float, low: float, high: float) -> float:
+    """Exact mean of the truncated normal, for statistical oracles."""
+    a = (low - mean) / sd
+    b = (high - mean) / sd
+    phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
+    return mean + sd * (phi(a) - phi(b)) / (cdf(b) - cdf(a))
+
+
+def save_base_curve(curve: BaseLoadCurve, path) -> None:
+    Path(path).write_text("".join(f"{float(v)!r}\n" for v in curve.p_base))
 
 
 def test_curve_file_round_trip(tmp_path):

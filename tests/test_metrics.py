@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from evfeeder.metrics import compare_scenarios, format_comparison, reduce_horizon, reduce_rows
+from evfeeder.metrics import (
+    ReducedRows, compare_scenarios, format_comparison, reduce_horizon, row_sink,
+)
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
 from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages, solve_stream
 from evfeeder.scenario import default_feeder_path, solve_horizon
@@ -37,6 +39,15 @@ def stacked(states):
         converged=np.array([st.converged for st in states]),
         collapsed=np.zeros(len(states), bool),
     )
+
+
+def reduce_rows(day, topology):
+    """Every row of a solved batch, reduced in one call of row_sink's reduce
+    (a collapsed row from its unsolved currents)."""
+    rows = ReducedRows.zeros(len(day), topology)
+    for name, value in row_sink(topology)[1](dict(vars(day))).items():
+        getattr(rows, name)[:] = value
+    return rows
 
 
 def solve_day(topology, demand):

@@ -6,11 +6,16 @@ from evfeeder.network import (
     LineSegment,
     NetworkTopology,
     TopologyError,
+    _parse_feeder_text,
     format_topology,
     load_topology,
-    loads_topology,
 )
 from evfeeder.scenario import default_feeder_path
+
+
+def loads_topology(text: str) -> NetworkTopology:
+    """Parse a feeder description from a string."""
+    return _parse_feeder_text(text, "<string>")
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,11 @@ import pytest
 from evfeeder import scenario
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
-from evfeeder.metrics import compare_scenarios, reduce_horizon, reduce_rows
+from evfeeder.metrics import ReducedRows, compare_scenarios, reduce_horizon, row_sink
 from evfeeder.powerflow import (
     CHUNK_BUS_SLOTS,
     HorizonState,
     InfeasibleInjectionError,
-    slot_chunks,
     solve_batch,
     solve_stream,
     solve_sweep,
@@ -39,6 +38,7 @@ from evfeeder.scenario import (
 from evfeeder.network import WIRES, LineSegment, NetworkTopology, load_topology, save_topology
 from evfeeder.slots import SLOTS_PER_DAY, slot_of
 
+from test_metrics import reduce_rows
 from test_powerflow import assert_same_state, random_injections, random_radial, walk_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
@@ -422,9 +422,13 @@ def seed1_days():
     return strategy_days(1)
 
 
-def solve_rows(topology, rows, days, **limits):
-    """solve_horizon of one trial's rows, fed alone to a stream."""
-    return solve_horizon(topology, solve_stream(topology, [rows], **limits), days)
+def solve_rows(topology, rows, days, sink=None, **limits):
+    """solve_horizon of one trial's rows, fed alone to a stream with `sink`."""
+    return solve_horizon(topology, solve_stream(topology, [rows], sink=sink, **limits), days)
+
+
+# the report quantities of a row, and how the solver fared on it
+REDUCED_FIELDS = ("voltage_pu", "current_a", "loss_kw", "slack_w", "load_w", "iterations", "max_dv")
 
 
 @pytest.fixture
@@ -449,10 +453,34 @@ def test_trial_batch_gathers_each_strategys_full_day(seed, horizon_calls):
     assert list(days) == list(STRATEGIES)
     topo, demand = strategy_days(seed)
     for strategy, index in days.items():
-        alone = solve_batch(topo, demand[strategy])
-        for name in ("v", "i_line", "i_load", "iterations", "max_dv"):
+        alone = reduce_rows(solve_batch(topo, demand[strategy]), topo)
+        for name in REDUCED_FIELDS:
             got = getattr(solved, name)[index]
             assert got.tobytes() == getattr(alone, name).tobytes(), (strategy, name)
+
+
+def test_solve_horizon_rows_yield_each_rows_iterations(seed1_days, horizon_calls):
+    # what a trace of the run reads: `.iterations` of each item of the rows
+    run_sweep(ScenarioConfig(seed=1))
+    [(days, solved)] = horizon_calls
+    per_row = [row.iterations for row in solved]
+    assert len(per_row) == len(solved) == 245
+    assert all(type(k) is int for k in per_row)
+    topo, demand = seed1_days
+    for strategy, index in days.items():
+        alone = solve_batch(topo, demand[strategy])
+        assert [per_row[r] for r in index] == [state.iterations for state in alone], strategy
+
+
+def test_runs_hold_no_complex_state(monkeypatch):
+    def refuse(n_slots, topology):
+        raise AssertionError("a run built a complex HorizonState")
+
+    monkeypatch.setattr(HorizonState, "zeros", refuse)
+    run_sweep(ScenarioConfig(seed=1, trials=2))
+    run_scenario(ScenarioConfig(strategy="timer", seed=1))
+    with pytest.raises(AssertionError):
+        solve_batch(load_topology(default_feeder_path()), np.zeros((1, 19, 3)))
 
 
 def test_trial_solves_each_distinct_row_once(horizon_calls):
@@ -528,7 +556,7 @@ def wide_feeder_day():
 
 def test_solve_horizon_spanning_chunks_matches_single_slot_solves():
     topo, demand = wide_feeder_day()
-    assert len(slot_chunks(96, topo)) >= 2
+    assert 96 * topo.n_buses > CHUNK_BUS_SLOTS
     day = solve_rows(topo, demand, {"": ONE_DAY})
     for t, state in enumerate(day):
         assert_same_state(state, solve_sweep(topo, demand[t]))
@@ -541,10 +569,11 @@ def test_solve_horizon_names_the_first_collapsed_slot(seed1_days):
     demand[8, 9, 1] += 60000.0  # collapses in an earlier iteration than slot 5
     with pytest.raises(InfeasibleInjectionError) as alone:
         solve_sweep(topo, demand[5])
-    with pytest.raises(SimulationError) as caught:
-        solve_rows(topo, demand, {"timer": ONE_DAY})
-    assert str(caught.value) == f"slot 5 under strategy 'timer': {alone.value}"
-    assert isinstance(caught.value.__cause__, InfeasibleInjectionError)
+    for sink in (row_sink(topo), None):  # reduced as a run's rows are, and complex
+        with pytest.raises(SimulationError) as caught:
+            solve_rows(topo, demand, {"timer": ONE_DAY}, sink)
+        assert str(caught.value) == f"slot 5 under strategy 'timer': {alone.value}"
+        assert isinstance(caught.value.__cause__, InfeasibleInjectionError)
 
 
 def test_solve_horizon_names_the_first_failure_in_strategy_order(seed1_days):
@@ -557,28 +586,31 @@ def test_solve_horizon_names_the_first_failure_in_strategy_order(seed1_days):
     # neither the lowest failed row (5) nor the lowest failed slot (2) is named
     zoned, semismart = np.zeros(96, int), np.zeros(96, int)
     zoned[40], semismart[2] = 8, 5
-    with pytest.raises(SimulationError) as caught:
-        solve_rows(topo, rows, {"zoned": zoned, "semismart": semismart})
-    assert str(caught.value) == f"slot 40 under strategy 'zoned': {alone.value}"
+    for sink in (row_sink(topo), None):
+        with pytest.raises(SimulationError) as caught:
+            solve_rows(topo, rows, {"zoned": zoned, "semismart": semismart}, sink)
+        assert str(caught.value) == f"slot 40 under strategy 'zoned': {alone.value}"
 
 
 def test_solve_horizon_names_the_first_unconverged_slot(seed1_days):
     topo, days = seed1_days
     alone = solve_sweep(topo, days["uncontrolled"][0], max_iterations=2)
     assert not alone.converged
-    with pytest.raises(SimulationError) as caught:
-        solve_rows(topo, days["uncontrolled"], {"": ONE_DAY}, max_iterations=2)
-    assert str(caught.value) == (
-        f"slot 0: no convergence after 2 iterations "
-        f"(last voltage change {alone.max_dv:.3e} V)"
-    )
+    for sink in (row_sink(topo), None):
+        with pytest.raises(SimulationError) as caught:
+            solve_rows(topo, days["uncontrolled"], {"": ONE_DAY}, sink, max_iterations=2)
+        assert str(caught.value) == (
+            f"slot 0: no convergence after 2 iterations "
+            f"(last voltage change {alone.max_dv:.3e} V)"
+        )
 
 
-def test_sweep_peak_holds_two_complex_batches(tmp_path, monkeypatch):
+def test_sweep_peak_holds_two_batches_of_float_rows(tmp_path, monkeypatch):
     # On 300 buses two trials of ~230 rows hold more than CHUNK_BUS_SLOTS
-    # bus-slots, so no third trial's complex state joins them in flight, and
-    # each trial's is dropped once its rows are reduced, before the strategies
-    # gather theirs.
+    # bus-slots, so no third trial's rows join them in flight. Each slot is
+    # reduced to float rows as it leaves the solver, so no trial's complex
+    # state is held, and each trial's float rows are dropped once the
+    # strategies have gathered theirs.
     rng = np.random.default_rng(7)
     lines = tuple(LineSegment(ln.from_bus, ln.to_bus, ln.z_phase / 1000, ln.z_neutral / 1000)
                   for ln in random_radial(rng, n_buses=300).lines)
@@ -604,13 +636,12 @@ def test_sweep_peak_holds_two_complex_batches(tmp_path, monkeypatch):
         tracemalloc.stop()
     rows = max(n_rows)
     assert len(n_rows) == 3 and 2 * rows * topo.n_buses > CHUNK_BUS_SLOTS
-    # bytes per row: a complex state, its float reduction and its injections
-    one = HorizonState.zeros(1, topo)
-    complex_row = one.v.nbytes + one.i_line.nbytes + one.i_load.nbytes
-    float_row = 8 * (one.v.size + one.i_line.size + 3)
+    # bytes per row: its float reduction and its injections
+    one = ReducedRows.zeros(1, topo)
+    float_row = one.voltage_pu.nbytes + one.current_a.nbytes + 8 * 3
     injection_row = 16 * 3 * topo.n_buses
-    # two complex batches, one trial's float and injection rows, the five
-    # strategies' first reports and one being gathered, and half a batch of
-    # the reduction's temporaries and the next trial's frames
-    bound = rows * (2.5 * complex_row + float_row + injection_row) + 6 * 96 * float_row
+    # two batches of float rows in flight and half a batch of the next
+    # trial's frames, one trial's float and injection rows, and the five
+    # strategies' first reports and one being gathered
+    bound = rows * (2.5 * float_row + float_row + injection_row) + 6 * 96 * float_row
     assert peak < bound
