@@ -1,15 +1,17 @@
 """Reduction of a solved day into the reported study quantities.
 
-Each solved row is reduced once, as it leaves the solver, whichever
-strategies read it: :func:`row_sink` turns it into the per-unit voltages,
-the line current magnitudes, and the row's series losses and slack/load
-powers, so a run holds no complex state per trial. :func:`reduce_horizon`
-then gathers one strategy's 96 slots from those float rows through its row
-index, locates the extremes on the voltages and sums the energies in slot
-order. Losses are resistive I^2 R over every conductor including the
-neutral, integrated over the day. Voltages are reported per unit as
-|v_phase - v_neutral| / v_base for the phases and |v_neutral| / v_base for
-the neutral wire.
+Each solved row is reduced once, whichever strategies read it:
+:func:`row_sink` turns the rows that left the solver into per-unit voltages,
+line current magnitudes, and each row's series losses and slack/load powers:
+a trial's rows in a few calls on a small feeder, and each iteration's on a
+large one, whose solver has no bus-slots to spare for waiting rows. A run so
+holds no complex state per trial. :func:`reduce_horizon` then gathers one
+strategy's 96 slots of voltages through its row index, locates the extremes
+and sums the energies in slot order; a report kept only for its summary
+gathers no currents. Losses are resistive I^2 R over every conductor
+including the neutral, integrated over the day. Voltages are reported per
+unit as |v_phase - v_neutral| / v_base for the phases and |v_neutral| /
+v_base for the neutral wire.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class ScenarioReport:
     min_voltage: dict[str, Extremum]     # keys 'a','b','c','overall'
     phase_minima_at_worst_bus: dict[str, float]
     max_neutral: Extremum
-    voltage_pu: np.ndarray               # (96, n_buses, 4) magnitudes
-    current_a: np.ndarray                # (96, n_lines, 4) magnitudes
+    voltage_pu: np.ndarray | None        # (96, n_buses, 4) magnitudes
+    current_a: np.ndarray | None         # (96, n_lines, 4) magnitudes
     slack_energy_kwh: float
     load_energy_kwh: float
     extra: dict = field(default_factory=dict)
@@ -130,11 +132,13 @@ class ReducedRows:
 
 
 def row_sink(topology: NetworkTopology) -> tuple:
-    """The solver sink ``(make, reduce)`` that reduces each slot as it leaves.
+    """The solver sink ``(make, reduce)`` that reduces slots that left the solver.
 
-    ``reduce`` replaces the leaving slots' v, i_line and i_load by their
-    ReducedRows quantities, and a collapsed slot's v by where it fell. Slack
-    and load powers are complex products summed row by row; the real parts kept.
+    ``reduce`` replaces the slots' v, i_line and i_load by their ReducedRows
+    quantities, and a collapsed slot's v by where it fell. Slots wait for it
+    while the solver's active set leaves bus-slots unused; a large feeder's
+    uses them all, so there it runs every iteration. Slack and load powers
+    are complex products summed row by row; the real parts kept.
     """
     r = topology.line_arrays[2].real
     slack_lines = np.flatnonzero(topology.line_arrays[0] == 0)
@@ -164,7 +168,8 @@ def row_sink(topology: NetworkTopology) -> tuple:
     return lambda n_rows: ReducedRows.zeros(n_rows, topology), reduce
 
 
-def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> ScenarioReport:
+def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray,
+                   *, arrays: bool = True) -> ScenarioReport:
     """Build the full report for one day from its reduced rows.
 
     ``slots`` indexes the day's 96 slots in ``rows``, which may hold a whole
@@ -172,7 +177,9 @@ def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> Scena
     ``phase_minima_at_worst_bus`` evaluates all three phases at the single
     overall worst bus, since the two conventions differ on unbalanced
     feeders. The slack and load energies integrate the slack supply and the
-    delivered load slot by slot.
+    delivered load slot by slot. With ``arrays=False`` the report is only for
+    its summary(): ``voltage_pu`` and ``current_a`` are None, and the day's
+    current rows are not gathered.
     """
     bad = np.flatnonzero(~rows.converged[slots]).tolist()
     if bad:
@@ -200,8 +207,8 @@ def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> Scena
         min_voltage=minima,
         phase_minima_at_worst_bus=at_worst,
         max_neutral=_extremum(voltage_pu[:, :, 3], np.argmax),
-        voltage_pu=voltage_pu,
-        current_a=rows.current_a[slots],
+        voltage_pu=voltage_pu if arrays else None,
+        current_a=rows.current_a[slots] if arrays else None,
         slack_energy_kwh=slack_wh / 1e3,
         load_energy_kwh=load_wh / 1e3,
     )

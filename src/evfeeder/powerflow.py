@@ -11,10 +11,13 @@ slots leave, the next ones in batch and slot order take their places, up to
 ``CHUNK_BUS_SLOTS`` bus-slots and the widest batch fed so far. Two batches
 may always be in flight, a third or later one only while those in flight
 hold at most ``CHUNK_BUS_SLOTS`` bus-slots in all. It iterates bus-major,
-on (bus, slot, wire) arrays. The slots leaving in an iteration pass, in bus
-and line order, through a sink into their batches' states: slot-major in a
-:class:`HorizonState`, or, in a run, reduced at once to float report rows
-(``metrics.row_sink``). Each batch's state is yielded once it is complete.
+on (bus, slot, wire) arrays. Leaving slots pass, in bus and line order,
+through a sink into their batches' states: slot-major in a
+:class:`HorizonState`, or, in a run, reduced to float report rows
+(``metrics.row_sink``). They wait, as complex columns, for one sink call when
+the oldest batch is yielded or when they would exceed the bus-slots the set
+leaves unused: a few calls a trial on a small feeder, one per iteration on a
+large one, whose set uses them all. Each batch is yielded once complete.
 
 * :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
@@ -47,6 +50,7 @@ they are served directly at its fixed voltage and never touch the network.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -216,13 +220,6 @@ def _injection_currents(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return drawn
 
 
-def _leaving(ids: np.ndarray, mask: np.ndarray, flight: list) -> np.ndarray:
-    """The columns where `mask` is set; with more than one batch in flight,
-    in the increasing order of their slot ids that _store splits them by."""
-    cols = np.flatnonzero(mask)
-    return cols[np.argsort(ids[cols])] if len(flight) > 1 else cols
-
-
 def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     """The slots of each array where `keep` is set: slot-indexed 1-d arrays
     and bus-major (rows, slots, wires) ones. np.compress copies a middle
@@ -230,22 +227,26 @@ def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [np.compress(keep, a, axis=0 if a.ndim == 1 else 1) for a in arrays]
 
 
-def _store(flight: list, ids: np.ndarray, values: dict) -> None:
-    """Write leaving slots into the states of their batches in `flight`.
-
-    `ids` are the leaving slots' ids, increasing if they can be of several
-    batches; each value holds one entry per leaving slot along its first axis.
-    """
-    edges = [0, len(ids)]
-    if len(flight) > 1:
-        edges[1:1] = np.searchsorted(ids, [first for _, first, _ in flight[1:]])
-    for batch, lo, hi in zip(flight, edges, edges[1:]):
-        if lo < hi:
-            state, first, _ = batch
-            slots = ids[lo:hi] - first
-            for name, value in values.items():
-                getattr(state, name)[slots] = value[lo:hi]
-            batch[2] -= hi - lo
+def _store(flight: list, waiting: list, reduce, rows: dict) -> None:
+    """Reduce the `waiting` slots in one call, emptying it, and write them into their
+    batches' states. Per iteration they left in, `waiting` holds their ``ids`` and
+    values: 1-d, or bus-major (rows, slots, ·) ones that `rows` puts in bus or line order."""
+    values = {}
+    for name in waiting[0]:
+        parts = [w[name] for w in waiting]
+        value = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=int(name in rows))
+        values[name] = value.swapaxes(0, 1)[:, rows[name]] if name in rows else value
+    waiting.clear()
+    ids = values.pop("ids")
+    values = reduce(values)
+    if len(flight) > 1:  # in id order, to split between the batches
+        order = np.argsort(ids)
+        ids = ids[order]
+        values = {name: value[order] for name, value in values.items()}
+    for state, first, end in flight:
+        lo, hi = np.searchsorted(ids, (first, end)) if len(flight) > 1 else (0, len(ids))
+        for name, value in values.items():
+            getattr(state, name)[ids[lo:hi] - first] = value[lo:hi]
 
 
 def _fixed_point(
@@ -273,14 +274,18 @@ def _fixed_point(
     ahead and large ones keep to two. Rows are buses and lines as numbered,
     or with `order` the bus in each row, and then row r of i_line is the
     line feeding the bus in row r + 1. A `sink` ``(make, reduce)`` makes each
-    batch's state and turns the slots leaving in an iteration, in bus and
-    line order, into what is stored per slot; by default HorizonStates.
+    batch's state and turns leaving slots, in bus and line order, into what
+    is stored per slot; by default HorizonStates. They wait for one
+    ``reduce`` until the oldest batch is yielded or they exceed the slots
+    the set cannot use, ``min(cap - min(cap, width), width)``: about a trial
+    on a small feeder; none on a large one, which so stores each iteration's
+    before the next, as it always did.
     """
     tol = DEFAULT_TOLERANCE_PU * topology.v_base if tolerance is None else tolerance
     if not 0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    if not isinstance(max_iterations, numbers.Integral) or max_iterations < 1:
+        raise ValueError(f"max_iterations must be a positive integer, got {max_iterations!r}")
     n = topology.n_buses
     floor = VOLTAGE_FLOOR_PU * topology.v_base
     slack = slack_voltages(topology)
@@ -289,15 +294,16 @@ def _fixed_point(
     else:
         bus_rows = np.argsort(order)  # the row of each bus
         line_rows = bus_rows[topology.line_arrays[1]] - 1
+    rows = {"v": bus_rows, "i_line": line_rows, "i_load": bus_rows}
     cap = max(1, CHUNK_BUS_SLOTS // n)
     make, reduce = sink or (lambda k: HorizonState.zeros(k, topology), lambda values: values)
     batches = iter(batches)
-    # [state, id of its first slot, slots yet to leave] per batch pulled and
-    # not yet yielded, slots numbered in feed order; `feeding` holds the rows
-    # of the last batch yet to enter. Per column of the active set, `ids` holds
-    # the slot's id and `counts` its iterations; `free` lists the columns of
-    # slots that left in the last iteration.
-    flight, feeding, next_id, width = [], None, 0, 0
+    # (state, first slot id, id past its last) per batch pulled and not yet
+    # yielded, slots numbered in feed order; `feeding` holds the rows of the
+    # last batch yet to enter, `waiting` the slots that left, per iteration,
+    # until _store. Per column of the active set, `ids` holds the slot's id and
+    # `counts` its iterations; `free` lists the columns of slots that left last.
+    flight, feeding, waiting, next_id, width = [], None, [], 0, 0
     ids = counts = free = np.empty(0, dtype=int)
     s_active = np.empty((n, 0, 3), dtype=complex)
     v = np.empty((n, 0, 4), dtype=complex)
@@ -306,11 +312,11 @@ def _fixed_point(
         new, k = [], 0
         while (room := min(cap, width) - len(ids) + len(free) - k) > 0 or not width:
             if feeding is None:
-                full = len(flight) > 1 and sum(len(b[0]) for b in flight) * n > CHUNK_BUS_SLOTS
+                full = len(flight) > 1 and (flight[-1][2] - flight[0][1]) * n > CHUNK_BUS_SLOTS
                 if full or (batch := next(batches, None)) is None:
                     break
                 feeding, batch = _as_injection_array(topology, batch, batched=True), None
-                flight.append([make(len(feeding)), next_id + k, len(feeding)])
+                flight.append((make(len(feeding)), next_id + k, next_id + k + len(feeding)))
                 width = max(width, len(feeding))
                 continue
             new.append(feeding[:room])
@@ -335,22 +341,27 @@ def _fixed_point(
             ids, counts, s_active, v = _compress(keep, ids, counts, s_active, v)
         next_id, free = next_id + k, free[:0]
         new = s_new = None  # not held while suspended at a yield
-        if flight and not flight[0][2]:
+        if flight and next_id >= (end := flight[0][2]) and not (len(ids) and ids.min() < end):
+            if waiting:
+                _store(flight, waiting, reduce, rows)
             yield flight.pop(0)[0]
             continue
         if not len(ids):
             return
+        if sum(len(w["ids"]) for w in waiting) > min(cap - min(cap, width), width):
+            _store(flight, waiting, reduce, rows)
         counts += 1
         u = v[..., :3] - v[..., 3:4]
         # over buses first: one reduction over axes (0, 2) is far slower
         collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
         if collapsed.any():
-            gone = _leaving(ids, collapsed, flight)
-            _store(flight, ids[gone], reduce({
-                "v": np.take(v, gone, axis=1)[bus_rows].swapaxes(0, 1),
+            gone = np.flatnonzero(collapsed)
+            _store(flight, [{
+                "ids": ids[gone],
+                "v": np.take(v, gone, axis=1),
                 "iterations": counts[gone],
                 "collapsed": np.ones(len(gone), dtype=bool),
-            }))
+            }], reduce, rows)
             ids, counts, s_active, v, u = _compress(~collapsed, ids, counts, s_active, v, u)
             if not len(ids):
                 continue
@@ -361,16 +372,17 @@ def _fixed_point(
         v = v_new
         done = (dv < tol) | (counts == max_iterations)
         if done.any():
-            free = _leaving(ids, done, flight)
-            _store(flight, ids[free], reduce({
-                "v": np.take(v, free, axis=1)[bus_rows].swapaxes(0, 1),
-                "i_line": np.take(i_line, free, axis=1)[line_rows].swapaxes(0, 1),
-                "i_load": np.take(drawn[..., :3], free, axis=1)[bus_rows].swapaxes(0, 1),
+            free = np.flatnonzero(done)
+            waiting.append({
+                "ids": ids[free],
+                "v": np.take(v, free, axis=1),
+                "i_line": np.take(i_line, free, axis=1),
+                "i_load": drawn[:, free, :3],
                 "iterations": counts[free],
                 "max_dv": dv[free],
                 "converged": dv[free] < tol,
-            }))
-        del drawn, v_new, i_line  # not held while suspended at a yield
+            })
+        del drawn, v_new, i_line  # not held through _store or while suspended at a yield
 
 
 def _sweep_step(topology: NetworkTopology):

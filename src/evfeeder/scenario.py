@@ -105,8 +105,9 @@ class ScenarioConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}, pick one of {STRATEGIES}")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "max_iterations"):
+            if not isinstance(value := getattr(self, name), numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0 <= self.sigma_fraction < math.inf:
             raise ValueError(f"sigma_fraction must be in [0, inf), got {self.sigma_fraction}")
         if self.penetration is not None and not 0 <= self.penetration <= 1:
@@ -334,7 +335,7 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
         except SimulationError as exc:
             raise SimulationError(f"trial {i}: {exc}") from None
         for strategy, index in days.items():
-            report = metrics.reduce_horizon(strategy, rows, index)
+            report = metrics.reduce_horizon(strategy, rows, index, arrays=not i)
             per_trial[strategy].append(report.summary())
             reports.setdefault(strategy, report)
         del rows, report  # the float rows are not held through the next trial's solve

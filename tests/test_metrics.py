@@ -133,6 +133,29 @@ def test_extremes_match_the_solved_states():
     assert e.value_pu == neutral.max() == neutral[e.slot, e.bus - 1]
 
 
+def test_summary_only_report_matches_the_gathered_day():
+    # a trial's rows through an index with repeats: tied extremes in two
+    # slots are located at the first, as on the gathered (96, bus) arrays
+    feeder = load_topology(default_feeder_path())
+    demand = np.zeros((96, 19, 3), complex)
+    demand[:, :, 1] = 600.0
+    demand[::7, 9, :] += 1800.0
+    rows = reduce_rows(solve_day(feeder, demand), feeder)
+    slots = np.random.default_rng(3).integers(0, 96, 96)
+    full = reduce_horizon("test", rows, slots)
+    brief = reduce_horizon("test", rows, slots, arrays=False)
+    assert brief.voltage_pu is None and brief.current_a is None
+    assert brief.summary() == full.summary()
+    day = rows.voltage_pu[slots]
+    assert full.voltage_pu.tobytes() == day.tobytes()
+    for key, (wire, arg) in {"a": (0, np.argmin), "b": (1, np.argmin),
+                             "c": (2, np.argmin), "neutral": (3, np.argmax)}.items():
+        t, b = divmod(int(arg(day[:, :, wire])), 19)
+        e = full.max_neutral if key == "neutral" else full.min_voltage[key]
+        assert (e.slot, e.bus, e.value_pu) == (t, b + 1, day[t, b, wire]), key
+    assert len(set(slots.tolist())) < 96  # some rows are read by two slots
+
+
 def test_neutral_voltage_positive_under_unbalance():
     topo = two_bus(z_ph=0.2 + 0.05j)  # z_n = z_ph: neutral drop visible
     demand = np.zeros((96, 2, 3), complex)

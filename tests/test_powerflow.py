@@ -256,6 +256,7 @@ def test_non_convergence_returns_state(solve):
     ("tolerance", math.nan),
     ("tolerance", math.inf),
     ("max_iterations", 0),
+    ("max_iterations", 2.5),  # no count would ever equal it
 ])
 def test_bad_limits_raise(solve, name, value):
     topo = two_bus()

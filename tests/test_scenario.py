@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evfeeder import scenario
+from evfeeder import metrics, powerflow, scenario
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
 from evfeeder.metrics import ReducedRows, compare_scenarios, reduce_horizon, row_sink
@@ -14,6 +14,7 @@ from evfeeder.powerflow import (
     CHUNK_BUS_SLOTS,
     HorizonState,
     InfeasibleInjectionError,
+    collapse_points,
     solve_batch,
     solve_stream,
     solve_sweep,
@@ -348,6 +349,17 @@ def test_config_validation():
             ScenarioConfig(seed=seed)
 
 
+def test_config_rejects_a_fractional_trial_count():
+    with pytest.raises(ValueError, match="trials must be a positive integer, got 2.5"):
+        ScenarioConfig(trials=2.5)
+
+
+def test_config_rejects_a_fractional_iteration_limit():
+    # a slot that neither converges nor collapses would never leave the solver
+    with pytest.raises(ValueError, match="max_iterations must be a positive integer, got 2.5"):
+        ScenarioConfig(max_iterations=2.5)
+
+
 def test_comparison_against_uncontrolled(sweep_reports):
     table = compare_scenarios(
         {s: r.summary() for s, r in sweep_reports.items()}, baseline="uncontrolled"
@@ -645,3 +657,89 @@ def test_sweep_peak_holds_two_batches_of_float_rows(tmp_path, monkeypatch):
     # strategies' first reports and one being gathered
     bound = rows * (2.5 * float_row + float_row + injection_row) + 6 * 96 * float_row
     assert peak < bound
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """The number of leaving slots in each reduce call of a run's row sink."""
+    calls = []
+    sink = metrics.row_sink
+
+    def counting(topology):
+        make, reduce = sink(topology)
+
+        def counted(values):
+            calls.append(len(values["iterations"]))
+            return reduce(values)
+
+        return make, counted
+
+    monkeypatch.setattr(metrics, "row_sink", counting)
+    return calls
+
+
+def test_row_sink_stream_matches_each_batch_solved_alone(seed1_days):
+    # five one-day batches on 19 buses: several are in flight at once, and
+    # their leaving slots wait to be reduced together, across batches
+    topo, days = seed1_days
+    batches = [days[strategy].copy() for strategy in STRATEGIES]
+    slow, weak = STRATEGIES.index("baseline"), STRATEGIES.index("timer")
+    batches[slow][3, 9, 1] += 5100.0  # runs out of iterations
+    batches[weak][8, 9, 1] += 60000.0  # collapses
+    pulled = []
+
+    def feed():
+        for batch in batches:
+            pulled.append(batch)
+            yield batch
+
+    stream = solve_stream(topo, feed(), sink=row_sink(topo))
+    solved = [next(stream)]
+    assert len(pulled) > 2
+    solved += stream
+    for batch, rows in zip(batches, solved, strict=True):
+        alone = solve_batch(topo, batch)
+        expected = reduce_rows(alone, topo)
+        ok = ~alone.collapsed
+        for name in REDUCED_FIELDS + ("converged", "collapsed"):
+            got, want = getattr(rows, name), getattr(expected, name)
+            if name in ("voltage_pu", "current_a", "loss_kw", "slack_w", "load_w"):
+                got, want = got[ok], want[ok]  # not solved in a collapsed row
+            assert got.tobytes() == want.tobytes(), name
+        for t in np.flatnonzero(~ok):
+            at, volts = collapse_points(alone.v[t:t + 1])
+            assert (rows.collapse_at[t], rows.collapse_v[t]) == (at[0], volts[0])
+    assert solved[slow].iterations[3] == 100 and not solved[slow].converged[3]
+    assert not solved[slow].collapsed[3]
+    assert solved[weak].collapsed[8] and sum(rows.collapsed.sum() for rows in solved) == 1
+
+
+def test_one_trial_sweep_reduces_its_rows_in_at_most_two_calls(reduce_calls):
+    run_sweep(ScenarioConfig(seed=1))
+    assert sum(reduce_calls) == 245
+    assert len(reduce_calls) <= 2
+
+
+def test_large_feeder_reduces_each_iterations_leaving_slots_at_once(
+    tmp_path, monkeypatch, reduce_calls
+):
+    # on 300 buses the active set uses every bus-slot it may, so no slot
+    # waits: each reduce call takes the slots of the one iteration they left
+    rng = np.random.default_rng(7)
+    lines = tuple(LineSegment(ln.from_bus, ln.to_bus, ln.z_phase / 1000, ln.z_neutral / 1000)
+                  for ln in random_radial(rng, n_buses=300).lines)
+    topo = NetworkTopology(lines=lines)
+    save_topology(topo, tmp_path / "feeder.txt")
+    (tmp_path / "zones.txt").write_text(f"zone 1 23:00 {','.join(map(str, topo.buses))}\n")
+    iterations_per_store = []
+    store = powerflow._store
+
+    def recording(flight, waiting, *args):
+        iterations_per_store.append(len(waiting))
+        return store(flight, waiting, *args)
+
+    monkeypatch.setattr(powerflow, "_store", recording)
+    run_sweep(ScenarioConfig(feeder=tmp_path / "feeder.txt", zones=tmp_path / "zones.txt",
+                             penetration=0.6, trials=2, seed=5))
+    assert len(reduce_calls) == len(iterations_per_store) > 2
+    assert set(iterations_per_store) == {1}
