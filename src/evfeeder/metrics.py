@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import PHASES, NetworkTopology
-from .powerflow import collapse_error, collapse_points
+from .powerflow import collapse_error, collapse_points, phase_to_neutral
 from .slots import SLOT_HOURS, SLOTS_PER_DAY
 
 
@@ -149,20 +149,23 @@ def row_sink(topology: NetworkTopology) -> tuple:
             values["collapse_at"], values["collapse_v"] = collapse_points(v)
             return values
         i_line, i_load = values.pop("i_line"), values.pop("i_load")
-        u = v[..., :3] - v[..., 3:4]
-        voltage_pu = np.empty_like(v, dtype=float)
-        np.abs(u, out=voltage_pu[..., :3])
-        np.abs(v[..., 3], out=voltage_pu[..., 3])
-        voltage_pu /= topology.v_base
-        current_a = np.abs(i_line)
-        loss_w = np.square(current_a)
-        loss_w *= r
-        load_va = u * np.conj(i_load)
         # supplied through the slack's lines plus served at the slack bus
         slack_va = _row_sums(v[:, :1] * np.conj(i_line[:, slack_lines]))
+        current_a = np.abs(i_line)
+        del i_line
+        loss_kw = _row_sums(np.square(current_a) * r) / 1e3
+        u = phase_to_neutral(v)
+        voltage_pu = np.empty_like(v, dtype=float)
+        for p in range(3):  # a strided pass per phase, not a loop of 3 per row
+            np.abs(u[..., p], out=voltage_pu[..., p])
+        np.abs(v[..., 3], out=voltage_pu[..., 3])
+        del v
+        voltage_pu /= topology.v_base
+        load_va = np.multiply(u, np.conj(i_load), out=u)
+        del u, i_load
         slack_va += _row_sums(load_va[:, 0])
         values.update(voltage_pu=voltage_pu, current_a=current_a, slack_w=slack_va.real,
-                      loss_kw=_row_sums(loss_w) / 1e3, load_w=_row_sums(load_va).real)
+                      loss_kw=loss_kw, load_w=_row_sums(load_va).real)
         return values
 
     return lambda n_rows: ReducedRows.zeros(n_rows, topology), reduce

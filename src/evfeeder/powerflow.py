@@ -11,13 +11,16 @@ slots leave, the next ones in batch and slot order take their places, up to
 ``CHUNK_BUS_SLOTS`` bus-slots and the widest batch fed so far. Two batches
 may always be in flight, a third or later one only while those in flight
 hold at most ``CHUNK_BUS_SLOTS`` bus-slots in all. It iterates bus-major,
-on (bus, slot, wire) arrays. Leaving slots pass, in bus and line order,
-through a sink into their batches' states: slot-major in a
-:class:`HorizonState`, or, in a run, reduced to float report rows
-(``metrics.row_sink``). They wait, as complex columns, for one sink call when
-the oldest batch is yielded or when they would exceed the bus-slots the set
-leaves unused: a few calls a trial on a small feeder, one per iteration on a
-large one, whose set uses them all. Each batch is yielded once complete.
+on (bus, slot, wire) arrays, and none of its arithmetic walks a short strided
+last axis: numpy would run an inner loop of 3 or 4 elements per (bus, slot),
+whose overhead exceeds the work (:func:`phase_to_neutral`, :func:`_sweep_step`).
+Leaving slots pass, in bus and line order, through a sink into their
+batches' states: slot-major in a :class:`HorizonState`, or, in a run,
+reduced to float report rows (``metrics.row_sink``). They wait, as complex
+columns, for one sink call when the oldest batch is yielded or when they
+would exceed the bus-slots the set leaves unused: a few calls a trial on a
+small feeder, one per iteration on a large one, whose set uses them all.
+Each batch is yielded once complete.
 
 * :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
@@ -103,13 +106,9 @@ class NetworkState:
     iterations: int
     max_dv: float
 
-    def phase_to_neutral(self) -> np.ndarray:
-        """Phase-to-neutral voltages, shape (n_buses, 3)."""
-        return self.v[:, :3] - self.v[:, 3:4]
-
     def phase_voltage_pu(self, v_base: float) -> np.ndarray:
         """|v_phase - v_neutral| / v_base, the reported per-unit voltage."""
-        return np.abs(self.phase_to_neutral()) / v_base
+        return np.abs(phase_to_neutral(self.v)) / v_base
 
     def neutral_voltage_pu(self, v_base: float) -> np.ndarray:
         return np.abs(self.v[:, 3]) / v_base
@@ -174,9 +173,17 @@ class HorizonState:
             raise collapse_error(at[0], volts[0], self.iterations[t], topology)
 
 
+def phase_to_neutral(v: np.ndarray) -> np.ndarray:
+    """v_x - v_n of (..., 4) voltages, as ``v[..., :3] - v[..., 3:4]`` but a phase at a time."""
+    u = np.empty(v.shape[:-1] + (3,), dtype=v.dtype)
+    for p in range(3):
+        np.subtract(v[..., p], v[..., 3], out=u[..., p])
+    return u
+
+
 def collapse_points(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each slot's first least |v_x - v_n| in (bus, phase) order: 3 * bus_index + phase, volts."""
-    mag = np.abs(v[..., :3] - v[..., 3:4]).reshape(len(v), -1)
+    mag = np.abs(phase_to_neutral(v)).reshape(len(v), -1)
     at = mag.argmin(axis=1)
     return at, mag[np.arange(len(v)), at]
 
@@ -203,21 +210,21 @@ def _as_injection_array(topology: NetworkTopology, injections, batched=False) ->
     return s
 
 
-def _injection_currents(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Load currents drawn per (bus, wire) at phase-to-neutral voltages u.
+def _injection_currents(s: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous (..., 3) load currents at phase-to-neutral voltages u, and those drawn per (bus, wire).
 
     The neutral's is minus the phase currents' sum, added in the order of
     numpy's sum over a short last axis, ((+0 + a) + b) + c: the same bytes
     as ``-i_load.sum(axis=-1)``, whose +0 start turns a sum of -0s into +0.
     """
+    np.conjugate(i_load := np.divide(s, u), out=i_load)
     drawn = np.empty(u.shape[:-1] + (4,), dtype=complex)
-    i_load, neutral = drawn[..., :3], drawn[..., 3]
-    np.conjugate(np.divide(s, u, out=i_load), out=i_load)
+    drawn[..., :3], neutral = i_load, drawn[..., 3]
     np.add(i_load[..., 0], 0.0, out=neutral)
     neutral += i_load[..., 1]
     neutral += i_load[..., 2]
     np.negative(neutral, out=neutral)
-    return drawn
+    return i_load, drawn
 
 
 def _compress(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -351,7 +358,7 @@ def _fixed_point(
         if sum(len(w["ids"]) for w in waiting) > min(cap - min(cap, width), width):
             _store(flight, waiting, reduce, rows)
         counts += 1
-        u = v[..., :3] - v[..., 3:4]
+        u = phase_to_neutral(v)
         # over buses first: one reduction over axes (0, 2) is far slower
         collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
         if collapsed.any():
@@ -365,9 +372,9 @@ def _fixed_point(
             ids, counts, s_active, v, u = _compress(~collapsed, ids, counts, s_active, v, u)
             if not len(ids):
                 continue
-        drawn = _injection_currents(s_active, u)
+        i_load, drawn = _injection_currents(s_active, u)
         del u  # not held through the step
-        v_new, i_line = step(drawn, v)
+        v_new, i_line = step(drawn, v)  # may use drawn as its accumulator
         dv = np.abs(np.subtract(v_new, v, out=v)).max(axis=0).max(axis=1)  # v is replaced
         v = v_new
         done = (dv < tol) | (counts == max_iterations)
@@ -377,33 +384,47 @@ def _fixed_point(
                 "ids": ids[free],
                 "v": np.take(v, free, axis=1),
                 "i_line": np.take(i_line, free, axis=1),
-                "i_load": drawn[:, free, :3],
+                "i_load": np.take(i_load, free, axis=1),
                 "iterations": counts[free],
                 "max_dv": dv[free],
                 "converged": dv[free] < tol,
             })
-        del drawn, v_new, i_line  # not held through _store or while suspended at a yield
+        del i_load, drawn, v_new, i_line  # not held through _store or while suspended at a yield
+
+
+def _parent_slice(rows: np.ndarray):
+    """`rows` as a slice when consecutive, or of one row to broadcast when all equal."""
+    lo = int(rows[0])
+    if (np.diff(rows) == 1).all():
+        return slice(lo, lo + len(rows))
+    return slice(lo, lo + 1) if (rows == lo).all() else rows
 
 
 def _sweep_step(topology: NetworkTopology):
-    """The level-scheduled backward-forward sweep over a batch of slots, and its row order."""
+    """The level-scheduled backward-forward sweep over a batch of slots, and its row order.
+
+    The step sums the drawn currents `acc` in place. With z repeated over the set's slots
+    and parent rows sliced where they can be, no call loops per (row, slot) over 4 wires.
+    """
     order, forward, backward = topology.sweep_schedule
     _, to, z = topology.line_arrays
     line_of_bus = np.empty(topology.n_buses, dtype=int)
     line_of_bus[to] = np.arange(len(to))
     z_lines = z[line_of_bus[order[1:]], None]  # row r's feeds the bus in row r + 1
-    forward = [(parent_rows, slice(lo, hi), z_lines[lo - 1:hi - 1]) for parent_rows, lo, hi in forward]
+    z_lines = np.repeat(z_lines, max(1, CHUNK_BUS_SLOTS // topology.n_buses), axis=1)
+    backward = [(_parent_slice(parent_rows), slice(lo, hi)) for parent_rows, lo, hi in backward]
+    forward = [(_parent_slice(parent_rows), slice(lo, hi), z_lines[lo - 1:hi - 1])
+               for parent_rows, lo, hi in forward]
 
-    def step(drawn, v):
+    def step(acc, v):
         # backward: each group adds complete subtrees into distinct parents
-        acc = drawn.copy()
-        for parent_rows, lo, hi in backward:
-            acc[parent_rows] += acc[lo:hi]
+        for parent_rows, rows in backward:
+            acc[parent_rows] += acc[rows]
         # forward: a level's parents are set before its children
         v_new = np.empty_like(v)
         v_new[0] = v[0]
         for parent_rows, rows, z_level in forward:
-            np.subtract(v_new[parent_rows], z_level * acc[rows], out=v_new[rows])
+            np.subtract(v_new[parent_rows], z_level[:, :v.shape[1]] * acc[rows], out=v_new[rows])
         return v_new, acc[1:]  # a row's subtree current is its line's
 
     return step, order
@@ -520,9 +541,8 @@ def kcl_residual(state: NetworkState, topology: NetworkTopology, injections) -> 
     line currents serve the specified loads at the solved voltages.
     """
     s = _as_injection_array(topology, injections)
-    drawn = _injection_currents(s, state.phase_to_neutral())
+    balance = -_injection_currents(s, phase_to_neutral(state.v))[1]
     frm, to, _ = topology.line_arrays
-    balance = -drawn
     np.add.at(balance, to, state.i_line)     # incoming from parent
     np.subtract.at(balance, frm, state.i_line)  # outgoing toward children
     return float(np.max(np.abs(balance[1:]), initial=0.0))
@@ -539,7 +559,7 @@ def complex_power_balance(
     """
     s = _as_injection_array(topology, injections)
     frm, _, z = topology.line_arrays
-    u = state.phase_to_neutral()
+    u = phase_to_neutral(state.v)
     load = np.sum(u * np.conj(state.i_load))
     loss = np.sum(np.abs(state.i_line) ** 2 * z)
     slack_lines = frm == 0

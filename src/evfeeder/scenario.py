@@ -108,6 +108,8 @@ class ScenarioConfig:
         for name in ("trials", "max_iterations"):
             if not isinstance(value := getattr(self, name), numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.timer_start, numbers.Integral):
+            raise ValueError(f"timer_start must be an integer slot, got {self.timer_start!r}")
         if not 0 <= self.sigma_fraction < math.inf:
             raise ValueError(f"sigma_fraction must be in [0, inf), got {self.sigma_fraction}")
         if self.penetration is not None and not 0 <= self.penetration <= 1:

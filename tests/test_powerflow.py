@@ -83,7 +83,7 @@ def test_balanced_load_has_no_neutral_current():
     i_base = base_current(topo)
     assert abs(state.i_line[0, 3]) < 1e-10 * i_base
     assert abs(state.v[1, 3]) < 1e-10 * topo.v_base
-    mags = np.abs(state.phase_to_neutral()[1])
+    mags = np.abs(powerflow.phase_to_neutral(state.v)[1])
     assert np.ptp(mags) < 1e-9
 
 
@@ -110,7 +110,7 @@ def test_single_phase_load_matches_scalar_fixed_point():
     topo = two_bus(z_ph=z, z_n=z)
     state = solve_sweep(topo, injections(topo, {(2, "a"): s}))
     assert state.converged
-    got = state.phase_to_neutral()[1, 0]
+    got = powerflow.phase_to_neutral(state.v)[1, 0]
     assert got == pytest.approx(u, abs=1e-8)
     # frozen from the oracle above
     assert got == pytest.approx(217.74967162612234 - 0.09090909090909j, abs=1e-6)
@@ -272,7 +272,7 @@ def test_monotone_voltage_drop_in_load(feeder19):
         s = base.copy()
         s[9, 0] += extra
         state = solve_sweep(feeder19, s)
-        mag = abs(state.phase_to_neutral()[9, 0])
+        mag = abs(powerflow.phase_to_neutral(state.v)[9, 0])
         assert mag < previous or extra == 0.0
         previous = mag
 
@@ -336,11 +336,96 @@ def test_injection_currents_keep_the_bytes_of_a_numpy_sum():
     for s_, u_ in ((s, u), (s[:, 0], u[:, 0])):  # a bus-major batch and one slot
         i_load = np.conj(s_ / u_)
         want = np.concatenate([i_load, -i_load.sum(axis=-1, keepdims=True)], axis=-1)
-        got = powerflow._injection_currents(s_, u_)
+        got_i_load, got = powerflow._injection_currents(s_, u_)
+        assert got_i_load.flags.c_contiguous and got_i_load.tobytes() == i_load.tobytes()
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
         plain = -(i_load[..., 0] + i_load[..., 1] + i_load[..., 2])
         assert plain.tobytes() != want[..., 3].copy().tobytes()  # the case is covered
+
+
+def test_phase_to_neutral_keeps_the_bytes_of_the_broadcast():
+    # Per-phase subtraction against v[..., :3] - v[..., 3:4], on bus-major
+    # and slot-major arrays and on strided views, with signed zeros: equal
+    # parts give +0 and -0 - +0 gives -0.
+    rng = np.random.default_rng(17)
+    v = rng.uniform(-240, 240, (19, 30, 4)) + 1j * rng.uniform(-240, 240, (19, 30, 4))
+    parts = v.view(float)
+    pick = rng.integers(0, 4, parts.shape)
+    parts[pick == 0] = 0.0
+    parts[pick == 1] = -0.0
+    v[:, :5, :3] = v[:, :5, 3:]  # u == 0 exactly
+    views = (v, np.ascontiguousarray(v.swapaxes(0, 1)), v.swapaxes(0, 1), v[:, ::3], v[3], v[::-2, 1:])
+    for x in views:
+        got, want = powerflow.phase_to_neutral(x), x[..., :3] - x[..., 3:4]
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    parts = (v[..., :3] - v[..., 3:4]).view(float)
+    assert len(set(np.signbit(parts[parts == 0]))) == 2  # both zeros are covered
+
+
+def fancy_step(topology):
+    """The sweep step with index-array parents, z broadcast over the slots and
+    a copied accumulator: the reference the step of solve_stream must equal."""
+    order, forward, backward = topology.sweep_schedule
+    _, to, z = topology.line_arrays
+    line_of_bus = np.empty(topology.n_buses, dtype=int)
+    line_of_bus[to] = np.arange(len(to))
+    z_lines = z[line_of_bus[order[1:]], None]
+
+    def step(drawn, v):
+        acc = drawn.copy()
+        for parent_rows, lo, hi in backward:
+            acc[parent_rows] += acc[lo:hi]
+        v_new = np.empty_like(v)
+        v_new[0] = v[0]
+        for parent_rows, lo, hi in forward:
+            np.subtract(v_new[parent_rows], z_lines[lo - 1:hi - 1] * acc[lo:hi], out=v_new[lo:hi])
+        return v_new, acc[1:]
+
+    return step
+
+
+def sliced_groups(topology):
+    """How many backward groups of depth two or more have parents that
+    _parent_slice makes a slice, and how many such groups there are."""
+    _, _, backward = topology.sweep_schedule
+    deep = [rows for rows, _, _ in backward if rows.min() > 0]  # below the slack's children
+    return sum(isinstance(powerflow._parent_slice(rows), slice) for rows in deep), len(deep)
+
+
+def tree(parents):
+    """Feeder whose bus k + 2 hangs off bus parents[k]."""
+    return NetworkTopology(lines=tuple(
+        LineSegment(p, b, complex(0.01 * b, 0.004 * p), complex(0.02 * p, 0.001 * b))
+        for b, p in enumerate(parents, start=2)))
+
+
+def assert_step_matches_the_fancy_step(topo, rng):
+    step, _ = powerflow._sweep_step(topo)
+    want_step = fancy_step(topo)
+    for width in (1, 6, 3, 11, 2):  # one step, its repeated z sliced to each width
+        shape = (topo.n_buses, width, 4)
+        drawn = rng.normal(size=shape) * 20 + 1j * rng.normal(size=shape) * 20
+        drawn.view(float)[rng.integers(0, 5, drawn.view(float).shape) == 0] = -0.0
+        v = rng.normal(size=shape) * 230 + 1j * rng.normal(size=shape) * 230
+        want_v, want_i = want_step(drawn, v)
+        got_v, got_i = step(drawn.copy(), v)
+        assert got_v.tobytes() == want_v.tobytes()
+        assert got_i.tobytes() == want_i.tobytes()
+
+
+def test_sliced_sweep_step_keeps_the_bytes_of_the_fancy_index_step(feeder19):
+    rng = np.random.default_rng(19)
+    complete = tree([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7])  # binary, four levels
+    skipping = tree([1, 1, 1, 2, 2, 4, 4])  # children under the first and third bus
+    assert sliced_groups(complete) == (4, 4)
+    assert sliced_groups(skipping) == (0, 2)
+    assert sliced_groups(feeder19) == (12, 13)
+    for topo in (complete, skipping, feeder19, deep_wide_radial(rng, 120)):
+        assert_step_matches_the_fancy_step(topo, rng)
+    for _ in range(20):
+        assert_step_matches_the_fancy_step(random_radial(rng, max_buses=30), rng)
 
 
 def walk_sweep(topology, s, max_iterations=100):

@@ -360,6 +360,22 @@ def test_config_rejects_a_fractional_iteration_limit():
         ScenarioConfig(max_iterations=2.5)
 
 
+def test_config_rejects_a_fractional_timer_start():
+    # a fractional slot cannot index the day: rejected up front, not as an IndexError
+    for start in (2.5, 96.0, "96"):
+        with pytest.raises(ValueError, match="timer_start must be an integer slot"):
+            ScenarioConfig(strategy="timer", timer_start=start)
+
+
+def test_timer_start_wraps_by_the_day():
+    # the 24:00 default is slot 0, and an integer start is taken modulo the day
+    assert ScenarioConfig().timer_start == 0
+    default = run_scenario(ScenarioConfig(strategy="timer", seed=1)).summary()
+    wrapped = ScenarioConfig(strategy="timer", seed=1, timer_start=np.int64(SLOTS_PER_DAY))
+    assert run_scenario(wrapped).summary() == default
+    assert run_scenario(ScenarioConfig(strategy="timer", seed=1, timer_start=2)).summary() != default
+
+
 def test_comparison_against_uncontrolled(sweep_reports):
     table = compare_scenarios(
         {s: r.summary() for s, r in sweep_reports.items()}, baseline="uncontrolled"
