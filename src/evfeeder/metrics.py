@@ -8,7 +8,9 @@ large one, whose solver has no bus-slots to spare for waiting rows. A run so
 holds no complex state per trial. :func:`reduce_horizon` then gathers one
 strategy's 96 slots of voltages through its row index, locates the extremes
 and sums the energies in slot order; a report kept only for its summary
-gathers no currents. Losses are resistive I^2 R over every conductor
+gathers no currents. A collapsed row keeps where it fell, which the solver
+located, and ``powerflow.check_collapse`` reads it as it does a
+``HorizonState``'s. Losses are resistive I^2 R over every conductor
 including the neutral, integrated over the day. Voltages are reported per
 unit as |v_phase - v_neutral| / v_base for the phases and |v_neutral| /
 v_base for the neutral wire.
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import PHASES, NetworkTopology
-from .powerflow import collapse_error, collapse_points, phase_to_neutral
+from .powerflow import phase_to_neutral, slot_sums
 from .slots import SLOT_HOURS, SLOTS_PER_DAY
 
 
@@ -74,11 +76,6 @@ def _extremum(pu: np.ndarray, arg) -> Extremum:
     return Extremum(value_pu=float(pu[t, b]), bus=int(b) + 1, slot=int(t))
 
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each slot's values; row by row, bitwise the per-slot np.sum."""
-    return np.add.reduce(x.reshape(len(x), -1), axis=1)
-
-
 SolvedRow = namedtuple("SolvedRow", "iterations max_dv converged")
 
 
@@ -91,11 +88,11 @@ class ReducedRows:
     loss_kw     -- (rows,) series losses
     slack_w     -- (rows,) active power supplied at the slack bus
     load_w      -- (rows,) active power delivered to the loads
-    iterations, max_dv, converged, collapsed -- (rows,) as in HorizonState
-    collapse_at -- (rows,) where a collapsed row fell, ``3 * bus_index + phase``
-    collapse_v  -- (rows,) and its |v_x - v_n| there, volts
+    iterations, max_dv, converged, collapsed, collapse_at, collapse_v
+                -- (rows,) as in HorizonState
 
-    ``rows[t]`` is row t's SolvedRow, how the solver fared on it.
+    ``rows[t]`` is row t's SolvedRow, how the solver fared on it;
+    ``powerflow.check_collapse(rows, t, topology)`` raises where it fell.
     """
 
     voltage_pu: np.ndarray
@@ -124,36 +121,30 @@ class ReducedRows:
     def __getitem__(self, t: int) -> SolvedRow:
         return SolvedRow(int(self.iterations[t]), float(self.max_dv[t]), bool(self.converged[t]))
 
-    def check_collapse(self, t: int, topology: NetworkTopology) -> None:
-        """Raise InfeasibleInjectionError if row t fell under the floor."""
-        if self.collapsed[t]:
-            at, volts = self.collapse_at[t], self.collapse_v[t]
-            raise collapse_error(at, volts, self.iterations[t], topology)
-
 
 def row_sink(topology: NetworkTopology) -> tuple:
     """The solver sink ``(make, reduce)`` that reduces slots that left the solver.
 
     ``reduce`` replaces the slots' v, i_line and i_load by their ReducedRows
-    quantities, and a collapsed slot's v by where it fell. Slots wait for it
-    while the solver's active set leaves bus-slots unused; a large feeder's
-    uses them all, so there it runs every iteration. Slack and load powers
-    are complex products summed row by row; the real parts kept.
+    quantities, and drops a collapsed slot's v, whose collapse point the
+    solver has located. Slots wait for it while the solver's active set
+    leaves bus-slots unused; a large feeder's uses them all, so there it
+    runs every iteration. Slack and load powers are complex products summed
+    row by row; the real parts kept.
     """
     r = topology.line_arrays[2].real
     slack_lines = np.flatnonzero(topology.line_arrays[0] == 0)
 
     def reduce(values: dict) -> dict:
         v = values.pop("v")
-        if "i_line" not in values:
-            values["collapse_at"], values["collapse_v"] = collapse_points(v)
+        if "i_line" not in values:  # collapsed, and located by the solver
             return values
         i_line, i_load = values.pop("i_line"), values.pop("i_load")
         # supplied through the slack's lines plus served at the slack bus
-        slack_va = _row_sums(v[:, :1] * np.conj(i_line[:, slack_lines]))
+        slack_va = slot_sums(v[:, :1] * np.conj(i_line[:, slack_lines]))
         current_a = np.abs(i_line)
         del i_line
-        loss_kw = _row_sums(np.square(current_a) * r) / 1e3
+        loss_kw = slot_sums(np.square(current_a) * r) / 1e3
         u = phase_to_neutral(v)
         voltage_pu = np.empty_like(v, dtype=float)
         for p in range(3):  # a strided pass per phase, not a loop of 3 per row
@@ -163,9 +154,9 @@ def row_sink(topology: NetworkTopology) -> tuple:
         voltage_pu /= topology.v_base
         load_va = np.multiply(u, np.conj(i_load), out=u)
         del u, i_load
-        slack_va += _row_sums(load_va[:, 0])
+        slack_va += slot_sums(load_va[:, :1])
         values.update(voltage_pu=voltage_pu, current_a=current_a, slack_w=slack_va.real,
-                      loss_kw=loss_kw, load_w=_row_sums(load_va).real)
+                      loss_kw=loss_kw, load_w=slot_sums(load_va).real)
         return values
 
     return lambda n_rows: ReducedRows.zeros(n_rows, topology), reduce

@@ -102,9 +102,8 @@ class NetworkTopology:
         if len(self.lines) != n - 1:
             raise TopologyError(f"{n} buses need {n - 1} lines, found {len(self.lines)}")
         # reachability from the slack proves the tree is connected and acyclic
-        order = self._walk()
-        if len(order) != n:
-            missing = sorted(set(self.buses) - set(order))
+        if len(self.sweep_order) != n:
+            missing = sorted(set(self.buses) - set(self.sweep_order))
             raise TopologyError(f"buses {missing} are not connected to bus {SLACK_BUS}")
 
     @cached_property
@@ -117,7 +116,9 @@ class NetworkTopology:
     def buses(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_buses + 1))
 
-    def _walk(self) -> list[int]:
+    @cached_property
+    def sweep_order(self) -> tuple[int, ...]:
+        """Buses reachable from the slack, root-first depth-first; reversed for backward sweeps."""
         kids: dict[int, list[int]] = {b: [] for b in range(1, self.n_buses + 1)}
         for ln in self.lines:
             kids[ln.from_bus].append(ln.to_bus)
@@ -126,17 +127,12 @@ class NetworkTopology:
             b = stack.pop()
             order.append(b)
             stack.extend(reversed(kids[b]))
-        return order
+        return tuple(order)
 
     @cached_property
     def parent_line_index(self) -> dict[int, int]:
         """Bus -> index into `lines` of the segment feeding it (slack absent)."""
         return {ln.to_bus: k for k, ln in enumerate(self.lines)}
-
-    @cached_property
-    def sweep_order(self) -> tuple[int, ...]:
-        """Buses in root-first traversal order; reverse it for backward sweeps."""
-        return tuple(self._walk())
 
     @cached_property
     def line_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

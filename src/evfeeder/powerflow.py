@@ -20,7 +20,10 @@ reduced to float report rows (``metrics.row_sink``). They wait, as complex
 columns, for one sink call when the oldest batch is yielded or when they
 would exceed the bus-slots the set leaves unused: a few calls a trial on a
 small feeder, one per iteration on a large one, whose set uses them all.
-Each batch is yielded once complete.
+Each batch is yielded once complete. A slot that falls under the floor is
+located as it leaves (:func:`collapse_points`), where :func:`check_collapse`
+reads it. :func:`residuals` checks KCL and slack power balance per slot of
+any solved state, a batch's or one slot's.
 
 * :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
@@ -53,6 +56,7 @@ they are served directly at its fixed voltage and never touch the network.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -127,6 +131,8 @@ class HorizonState:
     collapsed  -- (n_slots,) bool; the slot fell under the collapse floor at
                   the start of iteration ``iterations``, and ``v`` holds the
                   voltages that did (its currents and max_dv are not solved)
+    collapse_at, collapse_v -- (n_slots,) where a collapsed slot fell (see
+                  collapse_points) and its |v_x - v_n| there, volts
 
     ``state[t]`` is slot t's NetworkState, viewing these arrays; iterating
     yields every slot's in turn.
@@ -139,6 +145,8 @@ class HorizonState:
     max_dv: np.ndarray
     converged: np.ndarray
     collapsed: np.ndarray
+    collapse_at: np.ndarray
+    collapse_v: np.ndarray
 
     @classmethod
     def zeros(cls, n_slots: int, topology: NetworkTopology) -> "HorizonState":
@@ -151,6 +159,8 @@ class HorizonState:
             max_dv=np.full(n_slots, np.inf),
             converged=np.zeros(n_slots, dtype=bool),
             collapsed=np.zeros(n_slots, dtype=bool),
+            collapse_at=np.zeros(n_slots, dtype=int),
+            collapse_v=np.zeros(n_slots),
         )
 
     def __len__(self) -> int:
@@ -166,12 +176,6 @@ class HorizonState:
             max_dv=float(self.max_dv[t]),
         )
 
-    def check_collapse(self, t: int, topology: NetworkTopology) -> None:
-        """Raise InfeasibleInjectionError if slot t fell under the floor."""
-        if self.collapsed[t]:
-            at, volts = collapse_points(self.v[t:t + 1])
-            raise collapse_error(at[0], volts[0], self.iterations[t], topology)
-
 
 def phase_to_neutral(v: np.ndarray) -> np.ndarray:
     """v_x - v_n of (..., 4) voltages, as ``v[..., :3] - v[..., 3:4]`` but a phase at a time."""
@@ -181,6 +185,12 @@ def phase_to_neutral(v: np.ndarray) -> np.ndarray:
     return u
 
 
+def slot_sums(x: np.ndarray) -> np.ndarray:
+    """Each slot's sum of (..., rows, wires) values, over its flattened block:
+    bitwise np.sum of one slot's alone, which a reduction over two axes is not."""
+    return np.add.reduce(x.reshape(x.shape[:-2] + (-1,)), axis=-1)
+
+
 def collapse_points(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each slot's first least |v_x - v_n| in (bus, phase) order: 3 * bus_index + phase, volts."""
     mag = np.abs(phase_to_neutral(v)).reshape(len(v), -1)
@@ -188,15 +198,17 @@ def collapse_points(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, mag[np.arange(len(v)), at]
 
 
-def collapse_error(at: int, volts: float, iteration: int, topology: NetworkTopology):
-    """The InfeasibleInjectionError naming where a slot fell under the floor."""
-    b, p = divmod(int(at), 3)
-    floor = VOLTAGE_FLOOR_PU * topology.v_base
-    return InfeasibleInjectionError(
-        f"|v_{WIRES[p]} - v_n| at bus {b + 1} fell to "
-        f"{volts:.1f} V (< {floor:.1f} V) in iteration {iteration}; "
-        "the injections exceed what the feeder can deliver"
-    )
+def check_collapse(state, t: int, topology: NetworkTopology) -> None:
+    """Raise InfeasibleInjectionError naming where slot t of a HorizonState or
+    a metrics.ReducedRows fell under the collapse floor, if it did."""
+    if state.collapsed[t]:
+        b, p = divmod(int(state.collapse_at[t]), 3)
+        floor = VOLTAGE_FLOOR_PU * topology.v_base
+        raise InfeasibleInjectionError(
+            f"|v_{WIRES[p]} - v_n| at bus {b + 1} fell to {state.collapse_v[t]:.1f} V "
+            f"(< {floor:.1f} V) in iteration {state.iterations[t]}; "
+            "the injections exceed what the feeder can deliver"
+        )
 
 
 def _as_injection_array(topology: NetworkTopology, injections, batched=False) -> np.ndarray:
@@ -245,6 +257,8 @@ def _store(flight: list, waiting: list, reduce, rows: dict) -> None:
         values[name] = value.swapaxes(0, 1)[:, rows[name]] if name in rows else value
     waiting.clear()
     ids = values.pop("ids")
+    if "collapsed" in values:  # located once, before any reduce
+        values["collapse_at"], values["collapse_v"] = collapse_points(values["v"])
     values = reduce(values)
     if len(flight) > 1:  # in id order, to split between the batches
         order = np.argsort(ids)
@@ -359,8 +373,9 @@ def _fixed_point(
             _store(flight, waiting, reduce, rows)
         counts += 1
         u = phase_to_neutral(v)
-        # over buses first: one reduction over axes (0, 2) is far slower
-        collapsed = np.abs(u).min(axis=0).min(axis=1) < floor
+        # over buses, then a column at a time: numpy loops per slot over a
+        # short last axis, and one reduction over axes (0, 2) is slower still
+        collapsed = functools.reduce(np.minimum, np.abs(u).min(axis=0).T) < floor
         if collapsed.any():
             gone = np.flatnonzero(collapsed)
             _store(flight, [{
@@ -375,7 +390,8 @@ def _fixed_point(
         i_load, drawn = _injection_currents(s_active, u)
         del u  # not held through the step
         v_new, i_line = step(drawn, v)  # may use drawn as its accumulator
-        dv = np.abs(np.subtract(v_new, v, out=v)).max(axis=0).max(axis=1)  # v is replaced
+        dv = np.abs(np.subtract(v_new, v, out=v)).max(axis=0)  # v is replaced
+        dv = functools.reduce(np.maximum, dv.T)
         v = v_new
         done = (dv < tol) | (counts == max_iterations)
         if done.any():
@@ -487,7 +503,7 @@ def solve_sweep(
     batch = solve_batch(
         topology, s[None], tolerance=tolerance, max_iterations=max_iterations
     )
-    batch.check_collapse(0, topology)
+    check_collapse(batch, 0, topology)
     return batch[0]
 
 
@@ -529,52 +545,31 @@ def solve_direct(
         return v_new, (v_new[frm] - v_new[to]) / z_clamped[:, None]
 
     batch = next(_fixed_point(topology, [s[None]], tolerance, max_iterations, step))
-    batch.check_collapse(0, topology)
+    check_collapse(batch, 0, topology)
     return batch[0]
 
 
-def kcl_residual(state: NetworkState, topology: NetworkTopology, injections) -> float:
-    """Largest current-balance violation in amperes over non-slack buses.
+def residuals(state, topology: NetworkTopology, injections) -> tuple:
+    """Each slot's KCL residual in amperes and relative slack-power mismatch, real and imaginary.
 
-    The local injection current is re-derived from the requested injections
-    and the state voltages, so the residual measures how well the state's
-    line currents serve the specified loads at the solved voltages.
+    `state` is a HorizonState or one slot's NetworkState, solved for (..., n_buses, 3)
+    `injections`. KCL: the largest current imbalance over non-slack buses, with the
+    load currents re-derived from the injections at the solved voltages. Balance:
+    slack supply (lines plus load served at the slack) minus delivered load and
+    series losses, per part relative to max(|slack|, S_BASE_VA). Summed per slot
+    (slot_sums), a batch's values equal each slot's alone, bit for bit.
     """
-    s = _as_injection_array(topology, injections)
-    balance = -_injection_currents(s, phase_to_neutral(state.v))[1]
-    frm, to, _ = topology.line_arrays
-    np.add.at(balance, to, state.i_line)     # incoming from parent
-    np.subtract.at(balance, frm, state.i_line)  # outgoing toward children
-    return float(np.max(np.abs(balance[1:]), initial=0.0))
-
-
-def complex_power_balance(
-    state: NetworkState, topology: NetworkTopology, injections
-) -> dict[str, complex]:
-    """Slack supply, delivered load and series losses, in volt-amperes.
-
-    ``slack`` counts power leaving the slack bus through its lines plus any
-    load served directly at the slack; it equals ``load + loss`` for a
-    converged state.
-    """
-    s = _as_injection_array(topology, injections)
-    frm, _, z = topology.line_arrays
+    s = _as_injection_array(topology, injections, batched=np.ndim(injections) == 3)
+    frm, to, z = topology.line_arrays
     u = phase_to_neutral(state.v)
-    load = np.sum(u * np.conj(state.i_load))
-    loss = np.sum(np.abs(state.i_line) ** 2 * z)
-    slack_lines = frm == 0
-    slack = np.sum(state.v[0] * np.conj(state.i_line[slack_lines]))
-    slack += np.sum(u[0] * np.conj(state.i_load[0]))
-    return {"slack": complex(slack), "load": complex(load), "loss": complex(loss),
-            "spec_load": complex(np.sum(s))}
-
-
-def power_balance_error(
-    state: NetworkState, topology: NetworkTopology, injections
-) -> tuple[float, float]:
-    """Relative slack-power mismatch, real and imaginary parts separately."""
-    bal = complex_power_balance(state, topology, injections)
-    gap = bal["slack"] - bal["load"] - bal["loss"]
-    scale_p = max(abs(bal["slack"].real), S_BASE_VA)
-    scale_q = max(abs(bal["slack"].imag), S_BASE_VA)
-    return abs(gap.real) / scale_p, abs(gap.imag) / scale_q
+    balance = np.negative(_injection_currents(s, u)[1])
+    np.add.at(balance, (..., to, slice(None)), state.i_line)  # incoming from parent
+    np.subtract.at(balance, (..., frm, slice(None)), state.i_line)  # outgoing toward children
+    kcl = np.max(np.abs(balance[..., 1:, :]), axis=(-2, -1), initial=0.0)
+    load = slot_sums(u * np.conj(state.i_load))
+    loss = slot_sums(np.abs(state.i_line) ** 2 * z)
+    slack = slot_sums(state.v[..., :1, :] * np.conj(state.i_line[..., frm == 0, :]))
+    slack = slack + slot_sums(u[..., :1, :] * np.conj(state.i_load[..., :1, :]))
+    gap = slack - load - loss
+    return (kcl, np.abs(gap.real) / np.maximum(np.abs(slack.real), S_BASE_VA),
+            np.abs(gap.imag) / np.maximum(np.abs(slack.imag), S_BASE_VA))

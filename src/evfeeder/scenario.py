@@ -112,6 +112,11 @@ class ScenarioConfig:
             raise ValueError(f"timer_start must be an integer slot, got {self.timer_start!r}")
         if not 0 <= self.sigma_fraction < math.inf:
             raise ValueError(f"sigma_fraction must be in [0, inf), got {self.sigma_fraction}")
+        if not 0 < self.power_factor <= 1:
+            raise ValueError(f"power_factor must be in (0, 1], got {self.power_factor}")
+        for name in ("charge_power_w", "tolerance"):
+            if (value := getattr(self, name)) is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.penetration is not None and not 0 <= self.penetration <= 1:
             raise ValueError("penetration must be in [0, 1]")
         if self.penetration is not None and self.fleet_file:
@@ -203,7 +208,7 @@ def solve_horizon(
         t, row = int(failed[0]), int(index[failed[0]])
         label = f" under strategy {strategy!r}" if strategy else ""
         try:
-            solved.check_collapse(row, topology)
+            powerflow.check_collapse(solved, row, topology)
         except InfeasibleInjectionError as exc:
             raise SimulationError(f"slot {t}{label}: {exc}") from exc
         raise SimulationError(
@@ -409,28 +414,29 @@ def validate(config: ScenarioConfig) -> dict:
     )
     demand = household_frame(households, topo)
     limits = {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations}
+    slots = list(snapshots.values())
+    sweep = powerflow.solve_batch(topo, demand[slots], **limits)
     rows = {}
     ok = True
-    for name, t in snapshots.items():
+    for i, (name, t) in enumerate(snapshots.items()):
         try:
-            sweep = powerflow.solve_sweep(topo, demand[t], **limits)
+            powerflow.check_collapse(sweep, i, topo)
             direct = powerflow.solve_direct(topo, demand[t], **limits)
         except InfeasibleInjectionError as exc:
             raise SimulationError(f"{name} snapshot, slot {t}: {exc}") from exc
-        disagreement = float(np.max(np.abs(sweep.v - direct.v))) / topo.v_base
-        p_err, q_err = powerflow.power_balance_error(sweep, topo, demand[t])
+        disagreement = float(np.max(np.abs(sweep.v[i] - direct.v))) / topo.v_base
         rows[name] = {
             "slot": t,
             "curve_w": float(curve.p_base[t]),
-            "sweep_iterations": sweep.iterations,
+            "sweep_iterations": int(sweep.iterations[i]),
             "direct_iterations": direct.iterations,
             "disagreement_pu": disagreement,
-            "kcl_residual_a": powerflow.kcl_residual(sweep, topo, demand[t]),
-            "power_balance_err": (p_err, q_err),
-            "min_voltage_pu": float(sweep.phase_voltage_pu(topo.v_base).min()),
+            "min_voltage_pu": float(sweep[i].phase_voltage_pu(topo.v_base).min()),
         }
-        if disagreement > ORACLE_TOLERANCE_PU or not (sweep.converged and direct.converged):
+        if disagreement > ORACLE_TOLERANCE_PU or not (sweep.converged[i] and direct.converged):
             ok = False
+    for row, kcl, p, q in zip(rows.values(), *powerflow.residuals(sweep, topo, demand[slots])):
+        row.update(kcl_residual_a=float(kcl), power_balance_err=(float(p), float(q)))
     return {"ok": ok, "snapshots": rows, "tolerance_pu": ORACLE_TOLERANCE_PU}
 
 

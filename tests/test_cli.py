@@ -157,6 +157,7 @@ def test_non_finite_impedance_exits_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("option, value, name", [
     ("--tolerance", "nan", "tolerance"),
     ("--tolerance", "inf", "tolerance"),
+    ("--tolerance", "-1", "tolerance"),
     ("--max-iter", "0", "max_iterations"),
     ("--sigma", "nan", "sigma_fraction"),
     ("--seed", "-1", "seed"),

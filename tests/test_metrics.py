@@ -38,6 +38,8 @@ def stacked(states):
         max_dv=np.array([st.max_dv for st in states]),
         converged=np.array([st.converged for st in states]),
         collapsed=np.zeros(len(states), bool),
+        collapse_at=np.zeros(len(states), int),
+        collapse_v=np.zeros(len(states)),
     )
 
 

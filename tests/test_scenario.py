@@ -367,6 +367,28 @@ def test_config_rejects_a_fractional_timer_start():
             ScenarioConfig(strategy="timer", timer_start=start)
 
 
+def test_config_rejects_a_bad_charge_power():
+    # blamed on the field, not on the fleet file whose vehicles it would set
+    for power in (-5, 0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="charge_power_w must be positive and finite"):
+            ScenarioConfig(charge_power_w=power)
+
+
+def test_config_rejects_a_bad_power_factor():
+    # rejected up front, not in the solver stream's first pull
+    for pf in (0, -0.5, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"power_factor must be in \(0, 1\]"):
+            ScenarioConfig(power_factor=pf)
+
+
+def test_config_rejects_a_bad_tolerance():
+    # rejected up front, not in the solver loop; None keeps the default
+    for tolerance in (-1, 0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            ScenarioConfig(tolerance=tolerance)
+    assert ScenarioConfig(tolerance=None).tolerance is None
+
+
 def test_timer_start_wraps_by_the_day():
     # the 24:00 default is slot 0, and an integer start is taken modulo the day
     assert ScenarioConfig().timer_start == 0
