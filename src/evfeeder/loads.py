@@ -102,8 +102,13 @@ def load_base_curve(path: str | Path) -> BaseLoadCurve:
             raise ValueError(f"{path}:{lineno}: bad curve value {stmt!r}") from exc
         if not np.isfinite(value):
             raise ValueError(f"{path}:{lineno}: non-finite curve value {stmt!r}")
+        if value < 0:
+            raise ValueError(f"{path}:{lineno}: negative curve value {stmt!r}")
         values.append(value)
-    return BaseLoadCurve(np.array(values))
+    try:
+        return BaseLoadCurve(np.array(values))
+    except ValueError as exc:  # only the count is left to fail: each value is checked above
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Households(NamedTuple):
@@ -150,30 +155,38 @@ _FLEET_COLUMNS = (
 )
 
 
-def _vehicle_fault(phase, capacity_kwh, arrival, departure, initial_soc) -> tuple[int, str] | None:
+def _vehicle_fault(bus, phase, capacity_kwh, arrival, departure, initial_soc) -> tuple[int, str] | None:
     """The first vehicle, in fleet order, that fails a check, and the first check it fails."""
     def on_day(slot):
         return (0 <= slot) & (slot < SLOTS_PER_DAY)
 
+    # a vehicle whose (bus, phase) an earlier one holds; the stable sort keeps
+    # each spot's first vehicle ahead of its repeats
+    order = np.lexsort((phase, bus))
+    first, then = order[:-1], order[1:]
+    repeat = np.zeros(len(bus), dtype=bool)
+    repeat[then] = (bus[then] == bus[first]) & (phase[then] == phase[first])
     failed = np.stack([
         (phase < 0) | (phase >= len(PHASES)),
         ~((0 < capacity_kwh) & (capacity_kwh < math.inf)),
         ~((0 <= initial_soc) & (initial_soc <= SOC_TARGET)),
         ~(on_day(arrival) & on_day(departure)),
         arrival == departure,
+        repeat,
     ])
     bad = np.flatnonzero(failed.any(axis=0))
     if not bad.size:
         return None
     i = int(bad[0])
-    texts = (
-        f"unknown phase index {phase[i]}",
-        f"capacity {capacity_kwh[i]} kWh must be positive and finite",
-        f"initial SOC {initial_soc[i]} outside [0, {SOC_TARGET}]",
-        "arrival/departure must be slot indices",
-        "arrival and departure coincide",
+    texts = (  # built for the check that failed only
+        lambda: f"unknown phase index {phase[i]}",
+        lambda: f"capacity {capacity_kwh[i]} kWh must be positive and finite",
+        lambda: f"initial SOC {initial_soc[i]} outside [0, {SOC_TARGET}]",
+        lambda: "arrival/departure must be slot indices",
+        lambda: "arrival and departure coincide",
+        lambda: f"two vehicles at bus {bus[i]} phase {PHASES[phase[i]]}",
     )
-    return i, texts[int(failed[:, i].argmax())]
+    return i, texts[int(failed[:, i].argmax())]()
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,21 +213,11 @@ class FleetSpec:
             object.__setattr__(self, name, column)
         if self.bus.ndim != 1 or len({getattr(self, n).shape for n, _ in _FLEET_COLUMNS}) != 1:
             raise ValueError("fleet columns must be one-dimensional and of one length")
-        fault = _vehicle_fault(
-            self.phase, self.capacity_kwh, self.arrival, self.departure, self.initial_soc
-        )
+        fault = _vehicle_fault(*(getattr(self, name) for name, _ in _FLEET_COLUMNS))
         if fault is not None:
             raise ValueError(fault[1])
         if not 0 < self.charge_power_w < math.inf:
             raise ValueError(f"charge power {self.charge_power_w} W must be positive and finite")
-        # a vehicle whose (bus, phase) an earlier one holds; stable order keeps
-        # each spot's first vehicle ahead of its repeats
-        spot = self.bus * len(PHASES) + self.phase
-        order = np.argsort(spot, kind="stable")
-        repeats = order[1:][spot[order[1:]] == spot[order[:-1]]]
-        if repeats.size:
-            k = repeats.min()
-            raise ValueError(f"two vehicles at bus {self.bus[k]} phase {PHASES[self.phase[k]]}")
 
 
 @dataclass(frozen=True)
@@ -316,7 +319,7 @@ def load_fleet(
 
     def checked_columns() -> list[np.ndarray]:
         columns = [np.array(column) for column in zip(*rows)] or [np.zeros(0)] * 6
-        fault = _vehicle_fault(*columns[1:])
+        fault = _vehicle_fault(*columns)
         if fault is not None:
             raise FleetFormatError(f"{path}:{linenos[fault[0]]}: {fault[1]}")
         return columns

@@ -39,7 +39,14 @@ class FeederFormatError(ValueError):
 
 
 class TopologyError(ValueError):
-    """The described network is not a connected radial tree rooted at bus 1."""
+    """The described network is not a connected radial tree rooted at bus 1.
+
+    ``line`` is the index into ``lines`` of the segment at fault, if one is.
+    """
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message)
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -87,16 +94,16 @@ class NetworkTopology:
         parent: dict[int, int] = {}
         for k, ln in enumerate(self.lines):
             if not (1 <= ln.from_bus <= n and 1 <= ln.to_bus <= n):
-                raise TopologyError(f"line {ln.from_bus}->{ln.to_bus}: bus out of range 1..{n}")
+                raise TopologyError(f"line {ln.from_bus}->{ln.to_bus}: bus out of range 1..{n}", k)
             key = (ln.from_bus, ln.to_bus)
             if key in seen or (ln.to_bus, ln.from_bus) in seen:
-                raise TopologyError(f"duplicate line {ln.from_bus}->{ln.to_bus}")
+                raise TopologyError(f"duplicate line {ln.from_bus}->{ln.to_bus}", k)
             seen[key] = k
             if ln.to_bus == SLACK_BUS:
-                raise TopologyError(f"line {ln.from_bus}->{ln.to_bus} gives the slack bus a parent")
+                raise TopologyError(f"line {ln.from_bus}->{ln.to_bus} gives the slack bus a parent", k)
             if ln.to_bus in parent:
                 raise TopologyError(
-                    f"bus {ln.to_bus} has two parents ({parent[ln.to_bus]} and {ln.from_bus})"
+                    f"bus {ln.to_bus} has two parents ({parent[ln.to_bus]} and {ln.from_bus})", k
                 )
             parent[ln.to_bus] = ln.from_bus
         if len(self.lines) != n - 1:
@@ -227,14 +234,10 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
         parts = stmt.split()
         key = parts[0]
         try:
-            if key == "slack_voltage":
-                hdr.slack_voltage = _finite(parts[1])
-            elif key == "v_base":
-                hdr.v_base = _finite(parts[1])
-            elif key == "transformer_reactance":
-                hdr.transformer_reactance = _finite(parts[1])
-            elif key == "neutral_scale":
-                hdr.neutral_scale = _finite(parts[1])
+            if key in vars(hdr):  # a header row, `<key> <value>`
+                if len(parts) != 2:
+                    raise IndexError
+                setattr(hdr, key, _finite(parts[1]))
             elif key == "line":
                 if len(parts) not in (5, 7):
                     raise IndexError
@@ -253,19 +256,20 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
     v_base = hdr.v_base if hdr.v_base is not None else hdr.slack_voltage
 
     segments = []
-    for lineno, (f, t, zp, zn) in raw_lines:
-        if zn is None:
-            zn = hdr.neutral_scale * zp
-        try:
-            segments.append(LineSegment(f, t, zp, zn))
-        except TopologyError as exc:
-            raise TopologyError(f"{source}:{lineno}: {exc}") from None
-    return NetworkTopology(
-        lines=tuple(segments),
-        slack_voltage_magnitude=hdr.slack_voltage,
-        v_base=v_base,
-        transformer_reactance=hdr.transformer_reactance,
-    )
+    try:
+        for _, (f, t, zp, zn) in raw_lines:
+            segments.append(LineSegment(f, t, zp, hdr.neutral_scale * zp if zn is None else zn))
+        return NetworkTopology(
+            lines=tuple(segments),
+            slack_voltage_magnitude=hdr.slack_voltage,
+            v_base=v_base,
+            transformer_reactance=hdr.transformer_reactance,
+        )
+    except TopologyError as exc:
+        # the segment that failed to build, or the one NetworkTopology names, if any
+        k = len(segments) if len(segments) < len(raw_lines) else exc.line
+        where = source if k is None else f"{source}:{raw_lines[k][0]}"
+        raise TopologyError(f"{where}: {exc}") from None
 
 
 def load_topology(feeder_file: str | Path) -> NetworkTopology:

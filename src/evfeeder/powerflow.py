@@ -37,7 +37,7 @@ any solved state, a batch's or one slot's.
   bus and line order as it leaves. Every sum runs in the order of a
   sequential depth-first walk, so results do not depend on batch size.
   :func:`solve_batch` is its stream of one batch, and :func:`solve_sweep`
-  that batch's one slot.
+  slot 0 of a one-slot batch.
 * :func:`solve_direct` -- testing oracle, a stream of one slot. The step is
   a dense linear solve of the full complex nodal admittance system over all
   (bus, wire) nodes, sharing no code with the tree walk.
@@ -94,37 +94,13 @@ def slack_voltages(topology: NetworkTopology) -> np.ndarray:
 
 
 @dataclass
-class NetworkState:
-    """Solved electrical state of one time slot.
-
-    v        -- complex volts, shape (n_buses, 4), wire order a, b, c, n
-    i_line   -- complex amperes, shape (n_lines, 4), positive parent->child,
-                rows follow topology.lines
-    i_load   -- complex amperes, shape (n_buses, 3), load current per phase
-    """
-
-    v: np.ndarray
-    i_line: np.ndarray
-    i_load: np.ndarray
-    converged: bool
-    iterations: int
-    max_dv: float
-
-    def phase_voltage_pu(self, v_base: float) -> np.ndarray:
-        """|v_phase - v_neutral| / v_base, the reported per-unit voltage."""
-        return np.abs(phase_to_neutral(self.v)) / v_base
-
-    def neutral_voltage_pu(self, v_base: float) -> np.ndarray:
-        return np.abs(self.v[:, 3]) / v_base
-
-
-@dataclass
 class HorizonState:
     """Solved states of a batch of slots, stored slot-major by the bus-major loop.
 
-    v          -- complex volts, shape (n_slots, n_buses, 4)
-    i_line     -- complex amperes, shape (n_slots, n_lines, 4)
-    i_load     -- complex amperes, shape (n_slots, n_buses, 3)
+    v          -- complex volts, shape (n_slots, n_buses, 4), wire order a, b, c, n
+    i_line     -- complex amperes, shape (n_slots, n_lines, 4), positive
+                  parent->child, rows follow topology.lines
+    i_load     -- complex amperes, shape (n_slots, n_buses, 3), load current per phase
     iterations -- (n_slots,) iterations run per slot
     max_dv     -- (n_slots,) last largest voltage change per slot, volts
     converged  -- (n_slots,) bool
@@ -134,8 +110,9 @@ class HorizonState:
     collapse_at, collapse_v -- (n_slots,) where a collapsed slot fell (see
                   collapse_points) and its |v_x - v_n| there, volts
 
-    ``state[t]`` is slot t's NetworkState, viewing these arrays; iterating
-    yields every slot's in turn.
+    ``state[t]`` is slot t's state, a HorizonState of views of these arrays
+    without the slot axis and of Python numbers; iterating yields every
+    slot's in turn.
     """
 
     v: np.ndarray
@@ -164,17 +141,17 @@ class HorizonState:
         )
 
     def __len__(self) -> int:
-        return len(self.v)
+        return len(self.iterations)
 
-    def __getitem__(self, t: int) -> NetworkState:
-        return NetworkState(
-            v=self.v[t],
-            i_line=self.i_line[t],
-            i_load=self.i_load[t],
-            converged=bool(self.converged[t]),
-            iterations=int(self.iterations[t]),
-            max_dv=float(self.max_dv[t]),
-        )
+    def __getitem__(self, t: int) -> "HorizonState":
+        return HorizonState(*(f[t] if f.ndim > 1 else f[t].item() for f in vars(self).values()))
+
+    def phase_voltage_pu(self, v_base: float) -> np.ndarray:
+        """|v_phase - v_neutral| / v_base, the reported per-unit voltage, (..., n_buses, 3)."""
+        return np.abs(phase_to_neutral(self.v)) / v_base
+
+    def neutral_voltage_pu(self, v_base: float) -> np.ndarray:
+        return np.abs(self.v[..., 3]) / v_base
 
 
 def phase_to_neutral(v: np.ndarray) -> np.ndarray:
@@ -490,9 +467,10 @@ def solve_sweep(
     *,
     tolerance: float | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> NetworkState:
-    """Backward-forward sweep solve of one time slot: solve_batch's batch of one.
+) -> HorizonState:
+    """Backward-forward sweep solve of one time slot: slot 0 of a one-slot solve_batch.
 
+    Returns that slot's HorizonState, (n_buses, ·) arrays and Python numbers.
     `tolerance` is the convergence threshold in volts on the largest
     componentwise voltage change between sweeps; defaults to
     DEFAULT_TOLERANCE_PU * v_base. Non-convergence returns a state with
@@ -518,8 +496,8 @@ def solve_direct(
     *,
     tolerance: float | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> NetworkState:
-    """Direct nodal-system oracle; same contract as solve_sweep."""
+) -> HorizonState:
+    """Direct nodal-system oracle; same contract as solve_sweep, slot 0 of a one-slot batch."""
     s = _as_injection_array(topology, injections)
     n = topology.n_buses
     frm, to, z = topology.line_arrays
@@ -549,15 +527,16 @@ def solve_direct(
     return batch[0]
 
 
-def residuals(state, topology: NetworkTopology, injections) -> tuple:
+def residuals(state: HorizonState, topology: NetworkTopology, injections) -> tuple:
     """Each slot's KCL residual in amperes and relative slack-power mismatch, real and imaginary.
 
-    `state` is a HorizonState or one slot's NetworkState, solved for (..., n_buses, 3)
-    `injections`. KCL: the largest current imbalance over non-slack buses, with the
-    load currents re-derived from the injections at the solved voltages. Balance:
-    slack supply (lines plus load served at the slack) minus delivered load and
-    series losses, per part relative to max(|slack|, S_BASE_VA). Summed per slot
-    (slot_sums), a batch's values equal each slot's alone, bit for bit.
+    `state` is a batch's HorizonState or one slot's (``batch[t]``), solved for
+    (..., n_buses, 3) `injections`. KCL: the largest current imbalance over
+    non-slack buses, with the load currents re-derived from the injections at
+    the solved voltages. Balance: slack supply (lines plus load served at the
+    slack) minus delivered load and series losses, per part relative to
+    max(|slack|, S_BASE_VA). Summed per slot (slot_sums), a batch's values
+    equal each slot's alone, bit for bit.
     """
     s = _as_injection_array(topology, injections, batched=np.ndim(injections) == 3)
     frm, to, z = topology.line_arrays

@@ -122,6 +122,40 @@ def test_non_finite_curve_value_exits_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {curve}:42: non-finite curve value 'nan'\n"
 
 
+# a repeated (bus, phase) at line 6, before a row at fault at line 8
+_REPEAT_THEN_FAULT_FLEET = (
+    "# bus phase capacity_kwh arrival departure soc\n"
+    "2 a 20 17:00 05:00 50\n2 b 20 17:00 05:00 50\n3 a 20 17:00 05:00 50\n"
+    "3 b 20 17:00 05:00 50\n2 b 10 18:00 06:00 50\n4 a 20 17:00 05:00 50\n"
+    "4 b 20 17:00 17:00 50\n"
+)
+
+
+@pytest.mark.parametrize("option, text, where, message", [
+    ("--feeder", "slack_voltage 220\nline 1 2 0.1 0.0\nline 1 3 0.1 0.0\nline 2 3 0.1 0.0\n",
+     ":4", "bus 3 has two parents (1 and 2)"),
+    ("--feeder", "slack_voltage 220\nline 1 2 0.1 0.0\nline 1 2 0.2 0.0\n",
+     ":3", "duplicate line 1->2"),
+    ("--feeder", "slack_voltage 220\nline 1 2 0.1 0.0\nline 2 9 0.1 0.0\n",
+     "", "9 buses need 8 lines, found 2"),
+    ("--feeder", "slack_voltage 220 230\nline 1 2 0.1 0.0\n",
+     ":1", "malformed row 'slack_voltage 220 230'"),
+    ("--feeder", "slack_voltage 220\nv_base 220 junk\nline 1 2 0.1 0.0\n",
+     ":2", "malformed row 'v_base 220 junk'"),
+    ("--curve", "500.0\n" * 95, "", "base curve needs 96 values, got (95,)"),
+    ("--curve", "# watts\n" + "500.0\n" * 40 + "-5\n" + "500.0\n" * 55,
+     ":42", "negative curve value '-5'"),
+    ("--fleet", _REPEAT_THEN_FAULT_FLEET, ":6", "two vehicles at bus 2 phase b"),
+], ids=["two-parents", "duplicate-line", "line-count", "header-extra-value", "header-junk",
+        "curve-count", "curve-negative", "fleet-repeat"])
+def test_faulty_input_file_is_named(tmp_path, capsys, option, text, where, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc = main(["run", "--strategy", "uncontrolled", option, str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}{where}: {message}"]
+
+
 def _two_bus_feeder(tmp_path, r_ohm="0.1", x_ohm="0.0"):
     feeder = tmp_path / "feeder.txt"
     feeder.write_text(f"slack_voltage 220\nline 1 2 {r_ohm} {x_ohm}\n")

@@ -428,6 +428,8 @@ def test_fleet_column_validation():
         FleetSpec([1, 2, 3], [0, 0, 3], [10.0, math.nan, 10.0], [0, 0, 0], [1, 0, 1], [0.5] * 3)
     with pytest.raises(ValueError, match=r"^two vehicles at bus 2 phase b$"):
         FleetSpec([2, 1, 2, 1], [1, 0, 1, 0], [10.0] * 4, [0] * 4, [1] * 4, [0.5] * 4)
+    # spots compare as (bus, phase) pairs; 3 * bus + phase wraps to bus 1 phase a here
+    FleetSpec([1, 6148914691236517206], [0, 1], [10.0] * 2, [0] * 2, [1] * 2, [0.5] * 2)
 
 
 def test_first_faulty_fleet_row_is_reported(tmp_path):
@@ -440,4 +442,8 @@ def test_first_faulty_fleet_row_is_reported(tmp_path):
         load_fleet(path)
     path.write_text("1 a 20 17:00 05:00 50\n\n100000000000000000000 b 20 17:00 05:00 50\n")
     with pytest.raises(FleetFormatError, match=r":3: bus 100000000000000000000 is outside every feeder$"):
+        load_fleet(path)
+    # a repeated (bus, phase) is its row's fault, ahead of a later row's
+    path.write_text("1 a 20 17:00 05:00 50\n1 a 10 18:00 06:00 50\n2 b 20 17:00 17:00 50\n")
+    with pytest.raises(FleetFormatError, match=r":2: two vehicles at bus 1 phase a$"):
         load_fleet(path)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from evfeeder.metrics import (
     ReducedRows, compare_scenarios, format_comparison, reduce_horizon, row_sink,
 )
 from evfeeder.network import LineSegment, NetworkTopology, load_topology
-from evfeeder.powerflow import HorizonState, NetworkState, slack_voltages, solve_stream
+from evfeeder.powerflow import HorizonState, slack_voltages, solve_stream
 from evfeeder.scenario import default_feeder_path, solve_horizon
 
 TANPHI = np.tan(np.arccos(0.91))
@@ -19,27 +21,25 @@ def two_bus(z_ph=0.1 + 0j, z_n=None):
 
 
 def synthetic_state(topology, i_line=None, v=None):
+    """A one-slot HorizonState, as ``batch[t]`` holds it."""
     n, m = topology.n_buses, len(topology.lines)
-    return NetworkState(
+    return HorizonState(
         v=np.tile(slack_voltages(topology), (n, 1)) if v is None else v,
         i_line=np.zeros((m, 4), complex) if i_line is None else i_line,
         i_load=np.zeros((n, 3), complex),
-        converged=True,
         iterations=1,
         max_dv=0.0,
+        converged=True,
+        collapsed=False,
+        collapse_at=0,
+        collapse_v=0.0,
     )
 
 
 def stacked(states):
-    """The HorizonState of a list of per-slot states."""
+    """The HorizonState of a list of one-slot states."""
     return HorizonState(
-        *(np.stack([getattr(st, f) for st in states]) for f in ("v", "i_line", "i_load")),
-        iterations=np.array([st.iterations for st in states]),
-        max_dv=np.array([st.max_dv for st in states]),
-        converged=np.array([st.converged for st in states]),
-        collapsed=np.zeros(len(states), bool),
-        collapse_at=np.zeros(len(states), int),
-        collapse_v=np.zeros(len(states)),
+        *(np.array([getattr(st, f.name) for st in states]) for f in fields(HorizonState))
     )
 
 

@@ -143,7 +143,7 @@ def test_two_parents_rejected():
         "slack_voltage 220\n"
         "line 1 2 0.1 0.0\nline 1 3 0.1 0.0\nline 2 3 0.1 0.0\n"
     )
-    with pytest.raises(TopologyError, match="bus 3 has two parents"):
+    with pytest.raises(TopologyError, match=r"^<string>:4: bus 3 has two parents \(1 and 2\)$"):
         loads_topology(text)
 
 
@@ -155,7 +155,7 @@ def test_disconnected_bus_rejected():
 
 def test_duplicate_line_rejected():
     text = "slack_voltage 220\nline 1 2 0.1 0.0\nline 1 2 0.2 0.0\n"
-    with pytest.raises(TopologyError, match="duplicate|two parents"):
+    with pytest.raises(TopologyError, match=r"^<string>:3: (duplicate|two parents)"):
         loads_topology(text)
 
 
@@ -163,6 +163,11 @@ def test_malformed_row_reports_line_number():
     text = "slack_voltage 220\nline 1 2 banana 0.0\n"
     with pytest.raises(FeederFormatError, match=":2:"):
         loads_topology(text)
+    # a header row takes exactly one value
+    for header in ("slack_voltage 220 230", "v_base 220 junk"):
+        text = f"slack_voltage 220\n{header}\nline 1 2 0.1 0.0\n"
+        with pytest.raises(FeederFormatError, match=rf"^<string>:2: malformed row '{header}'$"):
+            loads_topology(text)
 
 
 def test_unknown_keyword_rejected():

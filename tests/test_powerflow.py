@@ -10,8 +10,8 @@ from evfeeder.network import LineSegment, NetworkTopology, load_topology
 from evfeeder.powerflow import (
     DEFAULT_TOLERANCE_PU,
     VOLTAGE_FLOOR_PU,
+    HorizonState,
     InfeasibleInjectionError,
-    NetworkState,
     check_collapse,
     phase_to_neutral,
     residuals,
@@ -458,7 +458,7 @@ def walk_sweep(topology, s, max_iterations=100):
         v = v_new
         if dv < tol:
             break
-    return NetworkState(v, i_line, i_load, dv < tol, iterations, dv)
+    return HorizonState(v, i_line, i_load, iterations, dv, dv < tol, False, 0, 0.0)
 
 
 def assert_same_state(got, want):
@@ -692,7 +692,9 @@ def test_batch_state_views_its_arrays(feeder19):
     states = list(batch)
     assert len(batch) == len(states) == 3
     for t, state in enumerate(states):
-        assert isinstance(state, NetworkState)
+        assert isinstance(state, HorizonState)
+        assert type(state.iterations) is int and type(state.converged) is bool
+        assert type(state.max_dv) is float
         assert np.shares_memory(state.v, batch.v)
         assert state.v.tobytes() == batch[t].v.tobytes()
         assert state.iterations == batch.iterations[t]

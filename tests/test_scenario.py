@@ -312,6 +312,7 @@ def test_sampled_fleet_mode_runs():
 def test_validate_passes_on_shipped_feeder():
     result = validate(ScenarioConfig())
     assert result["ok"]
+    json.dumps(result)  # every number a Python one
     assert set(result["snapshots"]) == {"valley", "shoulder", "peak"}
     for row in result["snapshots"].values():
         assert row["disagreement_pu"] < 1e-8
