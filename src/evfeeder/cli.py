@@ -3,75 +3,70 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
-from . import loads, powerflow, scenario
+from . import loads, scenario
 from .metrics import compare_scenarios, format_comparison
 from .scenario import STRATEGIES, ScenarioConfig, SimulationError
 from .slots import slot_of
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--feeder", type=Path, help="feeder description file")
-    p.add_argument("--curve", type=Path, help="96-value base load curve file")
-    p.add_argument("--fleet", type=Path, help="EV fleet file")
-    p.add_argument("--penetration", type=float,
-                   help="sample the fleet at this EV take-up instead of a file")
-    p.add_argument("--zones", type=Path, help="zone plan file for zoned charging")
-    p.add_argument("--timer-start", default="24:00", metavar="HH:MM",
-                   help="start time for the timer strategy")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--sigma", type=float, default=loads.DEFAULT_SIGMA_FRACTION,
-                   help="household noise as a fraction of the curve value")
-    p.add_argument("--tolerance", type=float,
-                   help="solver convergence tolerance in volts")
-    p.add_argument("--max-iter", type=int, default=powerflow.DEFAULT_MAX_ITERATIONS)
-    p.add_argument("--out", type=Path, help="output directory")
+def _add_options(p: argparse.ArgumentParser, names: str) -> None:
+    """Add the named options; one not given keeps its ScenarioConfig default."""
+    specs = {
+        "feeder": dict(type=Path, help="feeder description file"),
+        "curve": dict(type=Path, help="96-value base load curve file"),
+        "fleet": dict(type=Path, dest="fleet_file", help="EV fleet file"),
+        "penetration": dict(type=float, help="sample the fleet at this EV take-up instead of a file"),
+        "zones": dict(type=Path, help="zone plan file for zoned charging"),
+        "timer-start": dict(metavar="HH:MM", help="start time for the timer strategy (24:00)"),
+        "seed": dict(type=int),
+        "trials": dict(type=int),
+        "sigma": dict(type=float, dest="sigma_fraction",
+                      help="household noise as a fraction of the curve value"),
+        "tolerance": dict(type=float, help="solver convergence tolerance in volts"),
+        "max-iter": dict(type=int, dest="max_iterations"),
+        "out": dict(type=Path, dest="out_dir", help="output directory"),
+    }
+    for name in names.split():
+        spec = {"metavar": name.upper().replace("-", "_"), **specs[name]}  # after the flag, not its dest
+        p.add_argument(f"--{name}", default=argparse.SUPPRESS, **spec)
 
 
-def _config(args, strategy: str | None = None) -> ScenarioConfig:
-    return ScenarioConfig(
-        strategy=strategy or getattr(args, "strategy", "semismart"),
-        feeder=args.feeder,
-        curve=args.curve,
-        fleet_file=args.fleet,
-        penetration=args.penetration,
-        zones=args.zones,
-        timer_start=slot_of(args.timer_start),
-        seed=args.seed,
-        trials=args.trials,
-        sigma_fraction=args.sigma,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iter,
-        out_dir=args.out,
-    )
+def _config(args) -> ScenarioConfig:
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ScenarioConfig) if f.name in args}
+    if "timer_start" in given:
+        given["timer_start"] = slot_of(given["timer_start"])
+    return ScenarioConfig(**given)
 
 
 def _cmd_run(args) -> int:
-    report = scenario.run_scenario(_config(args))
+    cfg = _config(args)
+    report = scenario.run_scenario(cfg)
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
-    if args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
+    if cfg.out_dir:
+        print(f"wrote {cfg.out_dir}", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    reports = scenario.run_sweep(_config(args, strategy="semismart"))
+    cfg = _config(args)
+    reports = scenario.run_sweep(cfg)
     table = compare_scenarios(
         {s: r.summary() for s, r in reports.items()}, baseline="uncontrolled"
     )
     print(format_comparison(table, "uncontrolled"))
-    if args.out:
-        print(f"wrote {args.out}", file=sys.stderr)
+    if cfg.out_dir:
+        print(f"wrote {cfg.out_dir}", file=sys.stderr)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = _config(args, strategy="baseline")
-    result = scenario.validate(cfg)
+    result = scenario.validate(_config(args))
     for name, row in result["snapshots"].items():
         p_err, q_err = row["power_balance_err"]
         print(
@@ -91,13 +86,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _config(args, strategy="baseline").resolved()
+    cfg = _config(args).resolved()
     consumers = scenario.consumers_of(scenario.load_topology(cfg.feeder))
     penetration = cfg.penetration if cfg.penetration is not None else 0.6
     fleet = loads.sample_fleet(consumers, penetration, seed=cfg.seed)
     # every input is read before the first file is written
     curve = loads.load_base_curve(cfg.curve) if args.households else None
-    out = args.out or Path(".")
+    out = cfg.out_dir or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     fleet_path = out / "fleet.txt"
     loads.save_fleet(fleet, fleet_path)
@@ -124,34 +119,32 @@ def main(argv=None) -> int:
                     "four-wire LV radial feeder.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one charging scenario")
-    p_run.add_argument("--strategy", choices=STRATEGIES, default="semismart")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run all five scenarios and compare")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="cross-check the two solvers")
-    _add_common(p_val)
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_sample = sub.add_parser("sample", help="draw a fleet (and optionally loads)")
-    _add_common(p_sample)
-    p_sample.add_argument("--households", action="store_true",
-                          help="also write sampled household profiles")
-    p_sample.set_defaults(func=_cmd_sample)
+    every = "feeder curve fleet penetration zones timer-start seed trials sigma tolerance max-iter out"
+    for name, func, strategy, options, about in (
+        ("run", _cmd_run, "semismart", every, "run one charging scenario"),
+        ("sweep", _cmd_sweep, "semismart", every, "run all five scenarios and compare"),
+        ("validate", _cmd_validate, "baseline", "feeder curve tolerance max-iter",
+         "cross-check the two solvers"),
+        ("sample", _cmd_sample, "baseline", "feeder curve penetration seed sigma out",
+         "draw a fleet (and optionally loads)"),
+    ):
+        sub.add_parser(name, help=about).set_defaults(func=func, strategy=strategy)
+        _add_options(sub.choices[name], options)
+    sub.choices["run"].add_argument("--strategy", choices=STRATEGIES, default="semismart")
+    sub.choices["sample"].add_argument("--households", action="store_true",
+                                       help="also write sampled household profiles")
 
     args = parser.parse_args(argv)
     # bad input (every parser error is a ValueError), unreadable files and
-    # infeasible runs end with one line on stderr, not a traceback
-    try:
-        return args.func(args)
-    except (SimulationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # infeasible runs end with one line on stderr, not a traceback; a warning
+    # prints as one line too
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (SimulationError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import PHASES
+from .network import PHASES, statements
 from .slots import SLOTS_PER_DAY, SLOT_HOURS, slot_of, slot_of_hours, time_of
 
 DEFAULT_PEAK_W = 2000.0
@@ -92,10 +92,7 @@ def default_base_curve(peak_w: float = DEFAULT_PEAK_W) -> BaseLoadCurve:
 def load_base_curve(path: str | Path) -> BaseLoadCurve:
     """Read a 96-value curve file (one value in watts per line, # comments)."""
     values = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
+    for lineno, stmt in statements(Path(path).read_text()):
         try:
             value = float(stmt)
         except ValueError as exc:
@@ -315,30 +312,25 @@ def load_fleet(
     over the distribution's bounds.
     """
     path = Path(fleet_file)
+    text = path.read_text()  # before the try: a decode error names no row
     rows, linenos = [], []
 
-    def checked_columns() -> list[np.ndarray]:
-        columns = [np.array(column) for column in zip(*rows)] or [np.zeros(0)] * 6
-        fault = _vehicle_fault(*columns)
-        if fault is not None:
-            raise FleetFormatError(f"{path}:{linenos[fault[0]]}: {fault[1]}")
-        return columns
+    def columns() -> list[np.ndarray]:
+        return [np.array(column) for column in zip(*rows)] or [np.zeros(0)] * 6
 
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
-        try:
-            rows.append(_parse_vehicle(stmt))
-        except ValueError as exc:
-            checked_columns()  # a fault in an earlier row is reported first
-            raise FleetFormatError(f"{path}:{lineno}: {exc}") from None
-        linenos.append(lineno)
-    columns = checked_columns()
     try:
-        fleet = FleetSpec(*columns, charge_power_w=charge_power_w)
+        for lineno, stmt in statements(text):
+            where = f"{path}:{lineno}"
+            rows.append(_parse_vehicle(stmt))
+            linenos.append(lineno)
+        where = str(path)
+        fleet = FleetSpec(*columns(), charge_power_w=charge_power_w)
     except ValueError as exc:
-        raise FleetFormatError(f"{path}: {exc}") from None
+        # only a failed load looks for its row: one read before a malformed row is named first
+        fault = _vehicle_fault(*columns())
+        if fault is not None:
+            where, exc = f"{path}:{linenos[fault[0]]}", fault[1]
+        raise FleetFormatError(f"{where}: {exc}") from None
     lo, hi = EvDistributions().soc_range
     out_of_range = [
         f"line {lineno}: initial SOC {soc:.0%}"

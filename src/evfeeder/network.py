@@ -16,6 +16,10 @@ File grammar (one statement per line, ``#`` starts a comment)::
 Per-line neutral columns override ``neutral_scale``. The upstream transformer
 reactance is recorded only: the slack voltage is fixed at bus 1, so any
 series impedance above it is unobservable downstream.
+
+`NetworkTopology` checks the lines: of several faults it names the header's
+first, else the first line at fault and the first check that line fails.
+`statements` reads the rows of every input file by this grammar.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,24 +56,12 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True)
 class LineSegment:
-    """One feeder segment: three identical phase conductors plus a neutral."""
+    """One segment: three identical phase conductors plus a neutral; `NetworkTopology` checks it."""
 
     from_bus: int
     to_bus: int
     z_phase: complex
     z_neutral: complex
-
-    def __post_init__(self):
-        if self.from_bus == self.to_bus:
-            raise TopologyError(f"line {self.from_bus}->{self.to_bus} is a self loop")
-        if not (cmath.isfinite(self.z_phase) and cmath.isfinite(self.z_neutral)):
-            raise TopologyError(
-                f"line {self.from_bus}->{self.to_bus} has a non-finite impedance"
-            )
-        if self.z_phase.real < 0 or self.z_neutral.real < 0:
-            raise TopologyError(
-                f"line {self.from_bus}->{self.to_bus} has negative resistance"
-            )
 
 
 @dataclass(frozen=True)
@@ -93,14 +86,21 @@ class NetworkTopology:
         seen: dict[tuple[int, int], int] = {}
         parent: dict[int, int] = {}
         for k, ln in enumerate(self.lines):
+            name = f"line {ln.from_bus}->{ln.to_bus}"
+            if ln.from_bus == ln.to_bus:
+                raise TopologyError(f"{name} is a self loop", k)
+            if not (cmath.isfinite(ln.z_phase) and cmath.isfinite(ln.z_neutral)):
+                raise TopologyError(f"{name} has a non-finite impedance", k)
+            if ln.z_phase.real < 0 or ln.z_neutral.real < 0:
+                raise TopologyError(f"{name} has negative resistance", k)
             if not (1 <= ln.from_bus <= n and 1 <= ln.to_bus <= n):
-                raise TopologyError(f"line {ln.from_bus}->{ln.to_bus}: bus out of range 1..{n}", k)
+                raise TopologyError(f"{name}: bus out of range 1..{n}", k)
             key = (ln.from_bus, ln.to_bus)
             if key in seen or (ln.to_bus, ln.from_bus) in seen:
-                raise TopologyError(f"duplicate line {ln.from_bus}->{ln.to_bus}", k)
+                raise TopologyError(f"duplicate {name}", k)
             seen[key] = k
             if ln.to_bus == SLACK_BUS:
-                raise TopologyError(f"line {ln.from_bus}->{ln.to_bus} gives the slack bus a parent", k)
+                raise TopologyError(f"{name} gives the slack bus a parent", k)
             if ln.to_bus in parent:
                 raise TopologyError(
                     f"bus {ln.to_bus} has two parents ({parent[ln.to_bus]} and {ln.from_bus})", k
@@ -209,12 +209,12 @@ class NetworkTopology:
         return order, forward, backward
 
 
-@dataclass
-class _Header:
-    slack_voltage: float | None = None
-    v_base: float | None = None
-    transformer_reactance: float = 0.0
-    neutral_scale: float = 1.0
+def statements(text: str) -> Iterator[tuple[int, str]]:
+    """Each ``(line number, row)`` of an input file, without comments and blank rows."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        row = raw.split("#", 1)[0].strip()
+        if row:
+            yield lineno, row
 
 
 def _finite(token: str) -> float:
@@ -225,50 +225,42 @@ def _finite(token: str) -> float:
 
 
 def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
-    hdr = _Header()
-    raw_lines: list[tuple[int, tuple[int, int, complex, complex | None]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
-            continue
+    hdr = {"slack_voltage": None, "v_base": None, "transformer_reactance": 0.0, "neutral_scale": 1.0}
+    rows: list[tuple[int, tuple[int, int, complex, complex | None]]] = []
+    for lineno, stmt in statements(text):
         parts = stmt.split()
         key = parts[0]
         try:
-            if key in vars(hdr):  # a header row, `<key> <value>`
+            if key in hdr:  # a header row, `<key> <value>`
                 if len(parts) != 2:
                     raise IndexError
-                setattr(hdr, key, _finite(parts[1]))
+                hdr[key] = _finite(parts[1])
             elif key == "line":
                 if len(parts) not in (5, 7):
                     raise IndexError
                 f, t = int(parts[1]), int(parts[2])
                 zp = complex(float(parts[3]), float(parts[4]))
                 zn = complex(float(parts[5]), float(parts[6])) if len(parts) == 7 else None
-                raw_lines.append((lineno, (f, t, zp, zn)))
+                rows.append((lineno, (f, t, zp, zn)))
             else:
                 raise FeederFormatError(f"unknown keyword {key!r}")
         except FeederFormatError as exc:
             raise FeederFormatError(f"{source}:{lineno}: {exc}") from None
         except (ValueError, IndexError) as exc:
             raise FeederFormatError(f"{source}:{lineno}: malformed row {stmt!r}") from exc
-    if hdr.slack_voltage is None:
+    if hdr["slack_voltage"] is None:
         raise FeederFormatError(f"{source}: missing slack_voltage header")
-    v_base = hdr.v_base if hdr.v_base is not None else hdr.slack_voltage
-
-    segments = []
+    scale = hdr["neutral_scale"]
+    segments = [LineSegment(f, t, zp, scale * zp if zn is None else zn) for _, (f, t, zp, zn) in rows]
     try:
-        for _, (f, t, zp, zn) in raw_lines:
-            segments.append(LineSegment(f, t, zp, hdr.neutral_scale * zp if zn is None else zn))
         return NetworkTopology(
             lines=tuple(segments),
-            slack_voltage_magnitude=hdr.slack_voltage,
-            v_base=v_base,
-            transformer_reactance=hdr.transformer_reactance,
+            slack_voltage_magnitude=hdr["slack_voltage"],
+            v_base=hdr["slack_voltage"] if hdr["v_base"] is None else hdr["v_base"],
+            transformer_reactance=hdr["transformer_reactance"],
         )
     except TopologyError as exc:
-        # the segment that failed to build, or the one NetworkTopology names, if any
-        k = len(segments) if len(segments) < len(raw_lines) else exc.line
-        where = source if k is None else f"{source}:{raw_lines[k][0]}"
+        where = source if exc.line is None else f"{source}:{rows[exc.line][0]}"
         raise TopologyError(f"{where}: {exc}") from None
 
 

@@ -40,7 +40,7 @@ from . import charging, loads, metrics, powerflow
 from .charging import ChargeSchedule, ZonePlan
 from .loads import FleetSpec, Households
 from .metrics import ReducedRows, ScenarioReport
-from .network import PHASES, WIRES, NetworkTopology, load_topology
+from .network import PHASES, WIRES, NetworkTopology, load_topology, statements
 from .powerflow import HorizonState, InfeasibleInjectionError
 from .slots import SLOTS_PER_DAY, slot_of
 
@@ -233,9 +233,10 @@ class _Inputs:
             self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
             n, bus = self.topology.n_buses, self.file_fleet.bus
             outside = np.flatnonzero((bus < 1) | (bus > n))
-            if outside.size:
+            if outside.size:  # each statement of a loaded fleet file is one vehicle
+                lineno, _ = list(statements(cfg.fleet_file.read_text()))[outside[0]]
                 raise ValueError(
-                    f"{cfg.fleet_file}: vehicle at bus {bus[outside[0]]} is outside the "
+                    f"{cfg.fleet_file}:{lineno}: vehicle at bus {bus[outside[0]]} is outside the "
                     f"feeder's {n} buses"
                 )
 

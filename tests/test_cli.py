@@ -1,9 +1,11 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from evfeeder.cli import main
+from evfeeder.loads import FleetDataWarning
 from evfeeder.scenario import default_fleet_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
@@ -146,8 +148,10 @@ _REPEAT_THEN_FAULT_FLEET = (
     ("--curve", "# watts\n" + "500.0\n" * 40 + "-5\n" + "500.0\n" * 55,
      ":42", "negative curve value '-5'"),
     ("--fleet", _REPEAT_THEN_FAULT_FLEET, ":6", "two vehicles at bus 2 phase b"),
+    ("--fleet", "# bus phase capacity_kwh arrival departure soc\n2 a 20 17:00 05:00 50\n"
+     "99 b 20 18:00 07:00 50\n", ":3", "vehicle at bus 99 is outside the feeder's 19 buses"),
 ], ids=["two-parents", "duplicate-line", "line-count", "header-extra-value", "header-junk",
-        "curve-count", "curve-negative", "fleet-repeat"])
+        "curve-count", "curve-negative", "fleet-repeat", "fleet-outside-feeder"])
 def test_faulty_input_file_is_named(tmp_path, capsys, option, text, where, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -177,7 +181,7 @@ def test_fleet_outside_feeder_exits_cleanly(tmp_path, capsys):
     rc = main(["run", "--feeder", str(_two_bus_feeder(tmp_path))])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: {default_fleet_path()}: vehicle at bus 3 is outside the feeder's 2 buses\n"
+        f"error: {default_fleet_path()}:7: vehicle at bus 3 is outside the feeder's 2 buses\n"
     )
 
 
@@ -229,3 +233,29 @@ def test_validate_feeder_without_lines(tmp_path, capsys):
     rc = main(["validate", "--feeder", str(feeder)])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--trials", "2"], ["validate", "--out", "out"], ["validate", "--zones", "z.txt"],
+    ["sample", "--max-iter", "3"], ["sample", "--tolerance", "1"], ["sample", "--fleet", "f.txt"],
+])
+def test_subcommand_rejects_options_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bad_timer_start_exits_cleanly(capsys):
+    assert main(["run", "--timer-start", "25:00"]) == 2
+    assert capsys.readouterr().err == "error: bad time '25:00'\n"
+
+
+def test_warnings_print_as_one_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", FleetDataWarning)  # this module ignores it elsewhere
+        assert main(["run"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("warning: ") for line in err)
+    assert any("initial SOC outside" in line for line in err)
+    assert not any("scenario.py" in line for line in err)

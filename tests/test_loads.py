@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evfeeder import loads
 from evfeeder.loads import (
     BaseLoadCurve,
     EvDistributions,
@@ -430,6 +431,20 @@ def test_fleet_column_validation():
         FleetSpec([2, 1, 2, 1], [1, 0, 1, 0], [10.0] * 4, [0] * 4, [1] * 4, [0.5] * 4)
     # spots compare as (bus, phase) pairs; 3 * bus + phase wraps to bus 1 phase a here
     FleetSpec([1, 6148914691236517206], [0, 1], [10.0] * 2, [0] * 2, [1] * 2, [0.5] * 2)
+
+
+def test_fleet_load_checks_each_vehicle_once(monkeypatch):
+    calls = []
+
+    def counted(*columns):
+        calls.append(len(columns[0]))
+        return vehicle_fault(*columns)
+
+    vehicle_fault = loads._vehicle_fault
+    monkeypatch.setattr(loads, "_vehicle_fault", counted)
+    with pytest.warns(FleetDataWarning):
+        load_fleet(default_fleet_path())
+    assert calls == [34]
 
 
 def test_first_faulty_fleet_row_is_reported(tmp_path):

@@ -159,6 +159,19 @@ def test_duplicate_line_rejected():
         loads_topology(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    # a line's own faults are checked with its place in the tree, in file order
+    ("slack_voltage 220\nline 1 2 0.1 0.0\nline 1 2 0.1 0.0\nline 3 3 0.1 0.0\n",
+     r"^<string>:3: duplicate line 1->2$"),
+    # a header fault beats every line's
+    ("slack_voltage -5\nline 1 2 0.1 0.0\nline 2 2 0.1 0.0\n",
+     r"^<string>: slack voltage and v_base must be positive and finite$"),
+], ids=["duplicate-before-self-loop", "header-before-self-loop"])
+def test_first_fault_is_reported(text, message):
+    with pytest.raises(TopologyError, match=message):
+        loads_topology(text)
+
+
 def test_malformed_row_reports_line_number():
     text = "slack_voltage 220\nline 1 2 banana 0.0\n"
     with pytest.raises(FeederFormatError, match=":2:"):
@@ -227,10 +240,10 @@ def test_bus_numbering_need_not_follow_tree_depth():
 
 def test_segments_validate_directly():
     with pytest.raises(TopologyError, match="self loop"):
-        LineSegment(2, 2, 0.1 + 0j, 0.1 + 0j)
+        NetworkTopology(lines=(LineSegment(2, 2, 0.1 + 0j, 0.1 + 0j),))
     with pytest.raises(TopologyError):
         NetworkTopology(lines=(LineSegment(1, 2, 0.1, 0.1),), slack_voltage_magnitude=-1)
     with pytest.raises(TopologyError, match="non-finite impedance"):
-        LineSegment(1, 2, 0.1 + 0j, complex("inf"))
+        NetworkTopology(lines=(LineSegment(1, 2, 0.1 + 0j, complex("inf")),))
     with pytest.raises(TopologyError, match="finite"):
         NetworkTopology(lines=(LineSegment(1, 2, 0.1, 0.1),), v_base=float("nan"))
