@@ -51,6 +51,18 @@ class ChargeSchedule:
     n_slots: np.ndarray
     power_w: float
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(slot, 0-based bus, phase) of every charging slot, vehicle after vehicle.
+
+        A fleet has one vehicle per (bus, phase) and a window of at most one
+        day, so no cell repeats.
+        """
+        n_slots = self.n_slots
+        # each charging slot's offset into its window
+        offset = np.arange(n_slots.sum()) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
+        slot = (np.repeat(self.start, n_slots) + offset) % SLOTS_PER_DAY
+        return slot, np.repeat(self.bus - 1, n_slots), np.repeat(self.phase, n_slots)
+
 
 @dataclass(frozen=True)
 class ZonePlan:
@@ -72,7 +84,7 @@ def _durations(fleet: FleetSpec, unzoned: np.ndarray | None = None) -> np.ndarra
     that `unzoned` marks as having no zone, or one that needs more than a day.
     """
     n = charge_duration_slots(fleet.capacity_kwh, fleet.initial_soc, fleet.charge_power_w)
-    bad = n > SLOTS_PER_DAY
+    bad = n > SLOTS_PER_DAY  # as floats: a long one may fit no integer
     if unzoned is not None:
         bad |= unzoned
     if bad.any():
@@ -80,10 +92,10 @@ def _durations(fleet: FleetSpec, unzoned: np.ndarray | None = None) -> np.ndarra
         if unzoned is not None and unzoned[i]:
             raise SchedulingError(f"bus {fleet.bus[i]} has no zone in the plan")
         raise SchedulingError(
-            f"vehicle at bus {fleet.bus[i]} phase {PHASES[fleet.phase[i]]} needs {n[i]} slots, "
+            f"vehicle at bus {fleet.bus[i]} phase {PHASES[fleet.phase[i]]} needs {n[i]:.0f} slots, "
             f"more than one day at {fleet.charge_power_w} W"
         )
-    return n
+    return n.astype(int)
 
 
 def _schedule(fleet: FleetSpec, start: np.ndarray, n_slots: np.ndarray) -> ChargeSchedule:
@@ -129,16 +141,10 @@ def ev_power_frame(schedule: ChargeSchedule, topology: NetworkTopology) -> np.nd
     """Active EV power in watts per (slot, bus, phase); reactive is zero.
 
     Vehicles draw active power only, so the frame superposes onto household
-    demand without touching its reactive part. A fleet has one vehicle per
-    (bus, phase) and a window of at most one day, so each cell is set once.
+    demand without touching its reactive part.
     """
     frame = np.zeros((SLOTS_PER_DAY, topology.n_buses, 3))
-    n_slots = schedule.n_slots
-    # each charging slot's offset into its window
-    offset = np.arange(n_slots.sum()) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
-    slot = (np.repeat(schedule.start, n_slots) + offset) % SLOTS_PER_DAY
-    bus, phase = np.repeat(schedule.bus - 1, n_slots), np.repeat(schedule.phase, n_slots)
-    frame[slot, bus, phase] = schedule.power_w
+    frame[schedule.cells()] = schedule.power_w
     return frame
 
 

@@ -78,8 +78,8 @@ def _cmd_validate(args) -> int:
             f"{row['sweep_iterations']}/{row['direct_iterations']} iterations"
         )
     if not result["ok"]:
-        print(f"FAIL: solvers disagree beyond {result['tolerance_pu']:.0e} pu",
-              file=sys.stderr)
+        for failure in result["failures"]:
+            print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print("ok")
     return 0

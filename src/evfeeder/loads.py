@@ -145,6 +145,8 @@ def sample_household_loads(
     return Households(consumers, p, reactive_from_active(p, power_factor, leading=leading))
 
 
+_PHASE_INDEX = {phase: k for k, phase in enumerate(PHASES)}
+
 # FleetSpec's per-vehicle columns and their types
 _FLEET_COLUMNS = (
     ("bus", int), ("phase", int), ("capacity_kwh", float),
@@ -275,10 +277,15 @@ def sample_fleet(
         rng, dist.departure_mean_h, dist.departure_sd_h, *dist.departure_range_h, size=count
     )
     soc = truncated_normal(rng, dist.soc_mean, dist.soc_sd, *dist.soc_range, size=count)
-    owners = [consumers[i] for i in chosen.tolist()]
+    # the owners' columns, gathered and mapped in C, not in a Python loop
+    bus, phase = list(zip(*map(consumers.__getitem__, chosen.tolist()))) or [(), ()]
+    try:
+        phase = np.fromiter(map(_PHASE_INDEX.__getitem__, phase), int, count)
+    except KeyError as exc:
+        raise ValueError(f"unknown phase {exc.args[0]!r}") from None
     return FleetSpec(
-        bus=np.array([bus for bus, _ in owners], dtype=int),
-        phase=np.array([PHASES.index(phase) for _, phase in owners], dtype=int),
+        bus=np.fromiter(bus, int, count),
+        phase=phase,
         capacity_kwh=capacity,
         arrival=slot_of_hours(arrival_h),
         departure=slot_of_hours(departure_h),
@@ -364,14 +371,21 @@ def charge_duration_slots(
     """Slots of fixed-rate charging each vehicle needs to reach the 95% SOC target.
 
     energy deficit [kWh] / rate [kW], rounded up to whole slots so the
-    target is always met or exceeded. Each value is rounded to nine places
-    with the built-in round() first, which tolerates float noise so exact
-    multiples of a slot do not spill into an extra one; np.round rounds
-    differently. Takes arrays or scalars, and returns their shape.
+    target is always met or exceeded. Float noise can lift an exact multiple
+    of a slot just past its whole number, so a value within 1e-8 above one
+    is rounded to nine places with the built-in round() first; np.round
+    rounds differently. Takes arrays or scalars, and returns their shape, as
+    whole-number floats: a duration no integer type holds still compares.
     """
     if charge_power_w <= 0:
         raise ValueError("charge power must be positive")
     deficit = np.maximum(SOC_TARGET - np.asarray(initial_soc, dtype=float), 0.0)
-    slots = np.multiply(capacity_kwh, deficit) / (charge_power_w / 1000.0) / SLOT_HOURS
-    ceil = [math.ceil(round(x, 9)) for x in np.ravel(slots).tolist()]
-    return np.array(ceil, dtype=int).reshape(slots.shape)
+    # inf slots are more than a day, which the caller checks; nothing is near them
+    with np.errstate(over="ignore", invalid="ignore"):
+        slots = np.asarray(np.multiply(capacity_kwh, deficit) / (charge_power_w / 1000.0) / SLOT_HOURS)
+        x = slots.ravel()
+        whole = np.ceil(x)
+        above = x - (whole - 1.0)  # how far past the whole number below
+    near = np.flatnonzero((0 < above) & (above <= 1e-8))
+    whole[near] = [math.ceil(round(v, 9)) for v in x[near].tolist()]
+    return whole.reshape(slots.shape)

@@ -109,7 +109,7 @@ class ReducedRows:
 
     @classmethod
     def zeros(cls, n_rows: int, topology: NetworkTopology) -> "ReducedRows":
-        n, m = topology.n_buses, len(topology.lines)
+        n, m = topology.n_buses, topology.to_bus.size
         rows = cls(np.zeros((n_rows, n, 4)), np.zeros((n_rows, m, 4)), *(
             np.zeros(n_rows, d) for d in (float, float, float, int, float, bool, bool, int, float)))
         rows.max_dv[:] = np.inf

@@ -24,9 +24,9 @@ first, else the first line at fault and the first check that line fails.
 
 from __future__ import annotations
 
-import cmath
+import dataclasses
+import itertools
 import math
-from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,60 +64,92 @@ class LineSegment:
     z_neutral: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class NetworkTopology:
     """Immutable radial feeder: buses 1..N, N-1 lines, slack at bus 1.
 
-    Derived lookups (bus count, parents, sweep order, line arrays, sweep
+    The lines are read-only columns in line order: ``from_bus`` and
+    ``to_bus`` bus numbers and complex ``z_phase`` and ``z_neutral`` ohms,
+    given as ``columns=`` or taken from `LineSegment` records as ``lines=``.
+    Derived lookups (bus count, records, sweep order, line arrays, sweep
     schedule) are computed once, on first use, and cached; the cached arrays
     are read-only, so instances are safe to share across concurrent scenario
     evaluations.
     """
 
-    lines: tuple[LineSegment, ...]
+    from_bus: np.ndarray
+    to_bus: np.ndarray
+    z_phase: np.ndarray
+    z_neutral: np.ndarray
     slack_voltage_magnitude: float = 220.0
     v_base: float = 220.0
     transformer_reactance: float = 0.0
 
-    def __post_init__(self):
-        if not (0 < self.slack_voltage_magnitude < math.inf and 0 < self.v_base < math.inf):
+    def __init__(self, lines=(), slack_voltage_magnitude=220.0, v_base=220.0,
+                 transformer_reactance=0.0, *, columns=None):
+        if columns is None:
+            vars(self)["lines"] = lines = tuple(lines)
+            columns = zip(*((ln.from_bus, ln.to_bus, ln.z_phase, ln.z_neutral) for ln in lines))
+        frm, to, zp, zn = list(columns) or [()] * 4
+        # a bus number past 64 bits makes an object column; it fails a check
+        frm, to = (np.array(c) if len(c) else np.zeros(0, dtype=int) for c in (frm, to))
+        zp, zn = np.array(zp, dtype=complex), np.array(zn, dtype=complex)
+        for arr in (frm, to, zp, zn):
+            arr.flags.writeable = False
+        vars(self).update(from_bus=frm, to_bus=to, z_phase=zp, z_neutral=zn, v_base=v_base,
+                          slack_voltage_magnitude=slack_voltage_magnitude,
+                          transformer_reactance=transformer_reactance)
+        if not (0 < slack_voltage_magnitude < math.inf and 0 < v_base < math.inf):
             raise TopologyError("slack voltage and v_base must be positive and finite")
-        n = self.n_buses
-        seen: dict[tuple[int, int], int] = {}
-        parent: dict[int, int] = {}
-        for k, ln in enumerate(self.lines):
-            name = f"line {ln.from_bus}->{ln.to_bus}"
-            if ln.from_bus == ln.to_bus:
-                raise TopologyError(f"{name} is a self loop", k)
-            if not (cmath.isfinite(ln.z_phase) and cmath.isfinite(ln.z_neutral)):
-                raise TopologyError(f"{name} has a non-finite impedance", k)
-            if ln.z_phase.real < 0 or ln.z_neutral.real < 0:
-                raise TopologyError(f"{name} has negative resistance", k)
-            if not (1 <= ln.from_bus <= n and 1 <= ln.to_bus <= n):
-                raise TopologyError(f"{name}: bus out of range 1..{n}", k)
-            key = (ln.from_bus, ln.to_bus)
-            if key in seen or (ln.to_bus, ln.from_bus) in seen:
-                raise TopologyError(f"duplicate {name}", k)
-            seen[key] = k
-            if ln.to_bus == SLACK_BUS:
-                raise TopologyError(f"{name} gives the slack bus a parent", k)
-            if ln.to_bus in parent:
-                raise TopologyError(
-                    f"bus {ln.to_bus} has two parents ({parent[ln.to_bus]} and {ln.from_bus})", k
-                )
-            parent[ln.to_bus] = ln.from_bus
-        if len(self.lines) != n - 1:
-            raise TopologyError(f"{n} buses need {n - 1} lines, found {len(self.lines)}")
-        # reachability from the slack proves the tree is connected and acyclic
-        if len(self.sweep_order) != n:
-            missing = sorted(set(self.buses) - set(self.sweep_order))
+        n, m = self.n_buses, frm.size
+        lo, hi = np.minimum(frm, to), np.maximum(frm, to)
+        failed = np.stack([
+            frm == to,
+            ~(np.isfinite(zp) & np.isfinite(zn)),
+            (zp.real < 0) | (zn.real < 0),
+            lo < 1,  # n is the largest bus, so only the lower end of the range can fail
+            _repeats(lo, hi),  # in either direction
+            to == SLACK_BUS,
+            _repeats(to),
+        ])
+        bad = np.flatnonzero(failed.any(axis=0))
+        if bad.size:  # the first line at fault, and the first check it fails
+            k = int(bad[0])
+            check, f, t = int(failed[:, k].argmax()), int(frm[k]), int(to[k])
+            name = f"line {f}->{t}"
+            texts = (f"{name} is a self loop", f"{name} has a non-finite impedance",
+                     f"{name} has negative resistance", f"{name}: bus out of range 1..{n}",
+                     f"duplicate {name}", f"{name} gives the slack bus a parent")
+            raise TopologyError(texts[check] if check < len(texts) else
+                                f"bus {t} has two parents ({frm[:k][to[:k] == t][0]} and {f})", k)
+        if m != n - 1:
+            raise TopologyError(f"{n} buses need {n - 1} lines, found {m}")
+        # every bus but the slack now has one parent; a bus whose parent
+        # pointers, followed, never reach the slack sits on a cycle
+        parent = np.zeros(n, dtype=int)
+        parent[to - 1] = frm - 1
+        jump, depth = parent, np.minimum(np.arange(n), 1)  # depth: lines up to jump
+        for _ in range(n.bit_length()):
+            jump, depth = jump[jump], depth + depth[jump]
+        if jump.any():
+            missing = (np.flatnonzero(jump) + 1).tolist()
             raise TopologyError(f"buses {missing} are not connected to bus {SLACK_BUS}")
+        vars(self).update(_parent=parent, _depth=depth)
+
+    def __eq__(self, other):
+        if not isinstance(other, NetworkTopology):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in dataclasses.fields(self))
+
+    @cached_property
+    def lines(self) -> tuple[LineSegment, ...]:
+        columns = (self.from_bus, self.to_bus, self.z_phase, self.z_neutral)
+        return tuple(LineSegment(*ln) for ln in zip(*(c.tolist() for c in columns)))
 
     @cached_property
     def n_buses(self) -> int:
-        if not self.lines:
-            return 1
-        return max(max(ln.from_bus, ln.to_bus) for ln in self.lines)
+        return int(max(self.from_bus.max(), self.to_bus.max())) if self.from_bus.size else 1
 
     @cached_property
     def buses(self) -> tuple[int, ...]:
@@ -125,10 +157,10 @@ class NetworkTopology:
 
     @cached_property
     def sweep_order(self) -> tuple[int, ...]:
-        """Buses reachable from the slack, root-first depth-first; reversed for backward sweeps."""
-        kids: dict[int, list[int]] = {b: [] for b in range(1, self.n_buses + 1)}
-        for ln in self.lines:
-            kids[ln.from_bus].append(ln.to_bus)
+        """Buses root-first depth-first, children in line order; reversed for backward sweeps."""
+        kids: list[list[int]] = [[] for _ in range(self.n_buses + 1)]
+        for f, t in zip(self.from_bus.tolist(), self.to_bus.tolist()):
+            kids[f].append(t)
         order, stack = [], [SLACK_BUS]
         while stack:
             b = stack.pop()
@@ -139,7 +171,7 @@ class NetworkTopology:
     @cached_property
     def parent_line_index(self) -> dict[int, int]:
         """Bus -> index into `lines` of the segment feeding it (slack absent)."""
-        return {ln.to_bus: k for k, ln in enumerate(self.lines)}
+        return dict(zip(self.to_bus.tolist(), range(self.to_bus.size)))
 
     @cached_property
     def line_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,15 +180,11 @@ class NetworkTopology:
         frm, to -- 0-based bus indices of each segment's ends, shape (n_lines,)
         z       -- complex ohms per wire, shape (n_lines, 4), wire order a, b, c, n
         """
-        frm = np.array([ln.from_bus - 1 for ln in self.lines], dtype=int)
-        to = np.array([ln.to_bus - 1 for ln in self.lines], dtype=int)
-        z = np.empty((len(self.lines), 4), dtype=complex)
-        for k, ln in enumerate(self.lines):
-            z[k, :3] = ln.z_phase
-            z[k, 3] = ln.z_neutral
-        for arr in (frm, to, z):
+        z = np.column_stack([self.z_phase] * 3 + [self.z_neutral])
+        arrays = (self.from_bus - 1, self.to_bus - 1, z)
+        for arr in arrays:
             arr.flags.writeable = False
-        return frm, to, z
+        return arrays
 
     @cached_property
     def sweep_schedule(self) -> tuple[np.ndarray, tuple, tuple]:
@@ -177,36 +205,36 @@ class NetworkTopology:
         in order sums every subtree in the order of a reversed depth-first
         walk: children before parents, last child first.
         """
-        n = self.n_buses
-        parent, rank, n_children = [0] * n, [0] * n, [0] * n
-        for ln in reversed(self.lines):  # rank counts siblings from the last
-            p, b = ln.from_bus - 1, ln.to_bus - 1
-            parent[b], rank[b] = p, n_children[p]
-            n_children[p] += 1
-        depth = [0] * n
-        groups: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for b in self.sweep_order[1:]:
-            b -= 1
-            depth[b] = depth[parent[b]] + 1
-            groups[depth[b], rank[b]].append(b)
-        row, order, spans = [0] * n, [0], {}
-        for key in sorted(groups):  # a depth's parents have their rows first
-            lo = len(order)
-            for b in sorted(groups[key], key=lambda b: row[parent[b]]):
-                row[b] = len(order)
-                order.append(b)
-            spans[key] = (lo, len(order))
-        parent_rows = np.array([row[parent[b]] for b in order], dtype=int)
-        order = np.array(order, dtype=int)
+        frm, to, _ = self.line_arrays
+        parent, depth, n = self._parent, self._depth, self.n_buses
+        # a bus's rank counts its parent's later lines: the last child's is 0
+        by_parent = np.argsort(frm, kind="stable")
+        key = frm[by_parent]
+        rank = np.zeros(n, dtype=int)
+        rank[to[by_parent]] = np.searchsorted(key, key, side="right") - 1 - np.arange(key.size)
+        # each depth's rows in turn: by rank, then by the row its parent took
+        order = np.argsort(depth, kind="stable")
+        level = np.searchsorted(depth[order], np.arange(depth.max() + 2)).tolist()
+        row = np.zeros(n, dtype=int)
+        for lo, hi in zip(level[1:], level[2:]):
+            buses = order[lo:hi]
+            order[lo:hi] = buses = buses[np.lexsort((row[parent[buses]], rank[buses]))]
+            row[buses] = np.arange(lo, hi)
+        parent_rows = row[parent[order]]
         for arr in (order, parent_rows):
             arr.flags.writeable = False
-        starts = [lo for (_, r), (lo, _) in spans.items() if r == 0] + [n]  # a level per depth
-        forward = tuple((parent_rows[lo:hi], lo, hi) for lo, hi in zip(starts, starts[1:]))
-        backward = tuple(
-            (parent_rows[lo:hi], lo, hi)
-            for _, (lo, hi) in sorted(spans.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-        )
-        return order, forward, backward
+        starts = (np.flatnonzero(np.diff(depth[order]) | np.diff(rank[order])) + 1).tolist()
+        groups = sorted(zip(starts, starts[1:] + [n]), key=lambda g: -depth[order[g[0]]])
+        forward = tuple((parent_rows[lo:hi], lo, hi) for lo, hi in zip(level[1:], level[2:]))
+        return order, forward, tuple((parent_rows[lo:hi], lo, hi) for lo, hi in groups)
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """Whether each entry's keys equal an earlier entry's."""
+    order = np.lexsort(keys)  # stable: each key's first entry leads its repeats
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[order[1:]] = np.all([key[order[1:]] == key[order[:-1]] for key in keys], axis=0)
+    return repeat
 
 
 def statements(text: str) -> Iterator[tuple[int, str]]:
@@ -224,37 +252,59 @@ def _finite(token: str) -> float:
     return value
 
 
+def _complex(real: tuple[str, ...], imag: tuple[str, ...]) -> np.ndarray:
+    z = np.empty(len(real), dtype=complex)
+    z.real, z.imag = list(map(float, real)), list(map(float, imag))
+    return z
+
+
+def _line_columns(fields: list[list[str]], neutral_scale: float) -> tuple:
+    """The bus and impedance columns of `line` rows, each converted as a whole."""
+    if not set(map(len, fields)) <= {5, 7}:
+        raise IndexError
+    _, frm, to, *z = itertools.zip_longest(*fields, fillvalue="0") if fields else [()] * 5
+    zp = _complex(*z[:2])
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value fails its check
+        zn = neutral_scale * zp
+    if len(z) == 4:  # some row names its neutral
+        zn = np.where(np.array(list(map(len, fields))) == 7, _complex(*z[2:]), zn)
+    return list(map(int, frm)), list(map(int, to)), zp, zn
+
+
 def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
     hdr = {"slack_voltage": None, "v_base": None, "transformer_reactance": 0.0, "neutral_scale": 1.0}
-    rows: list[tuple[int, tuple[int, int, complex, complex | None]]] = []
+    rows, fields, fault = [], [], None  # `line` rows are converted after the scan
     for lineno, stmt in statements(text):
         parts = stmt.split()
-        key = parts[0]
-        try:
-            if key in hdr:  # a header row, `<key> <value>`
-                if len(parts) != 2:
-                    raise IndexError
-                hdr[key] = _finite(parts[1])
-            elif key == "line":
-                if len(parts) not in (5, 7):
-                    raise IndexError
-                f, t = int(parts[1]), int(parts[2])
-                zp = complex(float(parts[3]), float(parts[4]))
-                zn = complex(float(parts[5]), float(parts[6])) if len(parts) == 7 else None
-                rows.append((lineno, (f, t, zp, zn)))
-            else:
-                raise FeederFormatError(f"unknown keyword {key!r}")
-        except FeederFormatError as exc:
-            raise FeederFormatError(f"{source}:{lineno}: {exc}") from None
+        if parts[0] == "line":
+            rows.append((lineno, stmt))
+            fields.append(parts)
+            continue
+        try:  # a header row, `<key> <value>`
+            if parts[0] not in hdr:
+                raise FeederFormatError(f"unknown keyword {parts[0]!r}")
+            if len(parts) != 2:
+                raise IndexError
+            hdr[parts[0]] = _finite(parts[1])
         except (ValueError, IndexError) as exc:
-            raise FeederFormatError(f"{source}:{lineno}: malformed row {stmt!r}") from exc
+            fault = exc if isinstance(exc, FeederFormatError) else f"malformed row {stmt!r}"
+            fault = FeederFormatError(f"{source}:{lineno}: {fault}")
+            break  # unless a `line` row above it is malformed
+    try:
+        columns = _line_columns(fields, hdr["neutral_scale"])
+    except (ValueError, IndexError):
+        for (lineno, stmt), parts in zip(rows, fields):  # only a failed conversion looks for its row
+            try:
+                _line_columns([parts], 1.0)
+            except (ValueError, IndexError) as exc:
+                raise FeederFormatError(f"{source}:{lineno}: malformed row {stmt!r}") from exc
+    if fault is not None:
+        raise fault
     if hdr["slack_voltage"] is None:
         raise FeederFormatError(f"{source}: missing slack_voltage header")
-    scale = hdr["neutral_scale"]
-    segments = [LineSegment(f, t, zp, scale * zp if zn is None else zn) for _, (f, t, zp, zn) in rows]
     try:
         return NetworkTopology(
-            lines=tuple(segments),
+            columns=columns,
             slack_voltage_magnitude=hdr["slack_voltage"],
             v_base=hdr["slack_voltage"] if hdr["v_base"] is None else hdr["v_base"],
             transformer_reactance=hdr["transformer_reactance"],

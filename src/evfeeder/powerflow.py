@@ -127,7 +127,7 @@ class HorizonState:
 
     @classmethod
     def zeros(cls, n_slots: int, topology: NetworkTopology) -> "HorizonState":
-        n, m = topology.n_buses, len(topology.lines)
+        n, m = topology.n_buses, topology.to_bus.size
         return cls(
             v=np.zeros((n_slots, n, 4), dtype=complex),
             i_line=np.zeros((n_slots, m, 4), dtype=complex),

@@ -9,11 +9,12 @@ batch: the household row of every slot some strategy leaves without EV power,
 and a strategy's own row where it charges. Each row is reduced to floats as it
 leaves the solver, so no complex state is kept per trial, and each strategy
 gathers its day from those rows through a (96,) row index. A trial's inputs
-are whole arrays: the household draw reshaped into the frame, the fleet and
-each schedule as columns, and an EV frame only for the strategies that
-charge. A run feeds its trials' batches to one solver stream, which samples
-the next trial only when it has room for its rows, so that one trial's
-slowest slots iterate alongside the next ones'.
+are whole arrays: the household draw, copied straight into the rows, and the
+fleet and each schedule as columns, whose charging cells add the EV power; a
+loaded fleet's schedules are built once per run. A run feeds its trials'
+batches to one solver stream, which samples the next trial only when it has
+room for its rows, so that one trial's slowest slots iterate alongside the
+next ones'.
 
 Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
@@ -25,6 +26,7 @@ aside). CSV rows are formatted in blocks, one ``%.9g`` template per block.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -136,7 +138,7 @@ class ScenarioConfig:
 
 def consumers_of(topology: NetworkTopology) -> list[tuple[int, str]]:
     """One household per bus and phase, in canonical order."""
-    return [(bus, phase) for bus in topology.buses for phase in PHASES]
+    return list(itertools.product(topology.buses, PHASES))
 
 
 def trial_seeds(seed: int, trials: int) -> list[dict[str, int]]:
@@ -157,12 +159,20 @@ def household_frame(households: Households, topology: NetworkTopology) -> np.nda
     if list(households.consumers) != consumers_of(topology):
         raise ValueError("household demand needs one consumer per bus and phase, "
                          "in consumers_of order")
-    frame = np.zeros((SLOTS_PER_DAY, topology.n_buses, 3), dtype=complex)
-    # added onto the zeros, not assigned: the sum turns the -0.0 a leading pf
-    # draws at zero power into +0.0
-    frame.real += households.p.T.reshape(SLOTS_PER_DAY, -1, 3)
-    frame.imag += households.q.T.reshape(SLOTS_PER_DAY, -1, 3)
-    return frame
+    return _household_rows(households, np.arange(SLOTS_PER_DAY), topology.n_buses)
+
+
+def _household_rows(households: Households, slots: np.ndarray, n_buses: int) -> np.ndarray:
+    """Complex (len(slots), n_buses, 3) demand of the bus-major draw's `slots`.
+
+    A slot's column of the draw is its row. Rows are added onto zero, not
+    copied: the sum turns the -0.0 a leading pf draws at zero power into +0.0.
+    """
+    rows = np.empty((len(slots), n_buses, 3), dtype=complex)
+    flat = rows.reshape(len(slots), -1)
+    for part, draw in ((flat.real, households.p), (flat.imag, households.q)):
+        np.add(draw.T[slots], 0.0, out=part)
+    return rows
 
 
 def build_schedule(
@@ -223,12 +233,13 @@ class _Inputs:
 
     def __init__(self, cfg: ScenarioConfig, strategies: tuple[str, ...] = STRATEGIES):
         self.cfg = cfg
+        self.strategies = strategies
         self.topology = load_topology(cfg.feeder)
         self.curve = loads.load_base_curve(cfg.curve)
         self.consumers = consumers_of(self.topology)
         self.zone_plan = charging.load_zone_plan(cfg.zones) if cfg.zones else None
         self.needs_fleet = any(s != "baseline" for s in strategies)
-        self.file_fleet = None
+        self.file_fleet = self.file_schedules = None
         if self.needs_fleet and cfg.fleet_file is not None:
             self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
             n, bus = self.topology.n_buses, self.file_fleet.bus
@@ -239,6 +250,7 @@ class _Inputs:
                     f"{cfg.fleet_file}:{lineno}: vehicle at bus {bus[outside[0]]} is outside the "
                     f"feeder's {n} buses"
                 )
+            self.file_schedules = self.schedules_for_trial(None)  # the same every trial
 
     def fleet_for_trial(self, fleet_seed: int) -> FleetSpec | None:
         if self.file_fleet is not None or not self.needs_fleet:
@@ -249,6 +261,15 @@ class _Inputs:
             charge_power_w=self.cfg.charge_power_w,
             seed=fleet_seed,
         )
+
+    def schedules_for_trial(self, fleet_seed: int | None) -> dict[str, ChargeSchedule]:
+        """The schedule of each strategy that charges; a loaded fleet's are built once."""
+        if self.file_schedules is not None:
+            return self.file_schedules
+        fleet, cfg = self.fleet_for_trial(fleet_seed), self.cfg
+        built = {s: build_schedule(s, fleet, timer_start=cfg.timer_start, zone_plan=self.zone_plan)
+                 for s in self.strategies}
+        return {s: schedule for s, schedule in built.items() if schedule is not None}
 
     def households_for_trial(self, household_seed: int) -> Households:
         return loads.sample_household_loads(
@@ -261,36 +282,30 @@ class _Inputs:
         )
 
 
-def _trial_rows(inputs: _Inputs, seeds: dict, strategies: tuple) -> tuple[np.ndarray, dict]:
+def _trial_rows(inputs: _Inputs, seeds: dict) -> tuple[np.ndarray, dict]:
     """A trial's demand rows to solve, and each strategy's (96,) index into them.
 
     A slot where a strategy draws no EV power reads the household row, kept once
     if some strategy reads it; a slot where the strategy charges has its own row.
+    Each row is its slot's household draw, plus each charging cell's EV power.
     """
-    cfg, topo = inputs.cfg, inputs.topology
-    frame = household_frame(inputs.households_for_trial(seeds["household"]), topo)
-    fleet = inputs.fleet_for_trial(seeds["fleet"])
-    evs = {}  # only for the strategies that charge
-    for strategy in strategies:
-        schedule = build_schedule(
-            strategy, fleet, timer_start=cfg.timer_start, zone_plan=inputs.zone_plan
-        )
-        if schedule is not None:
-            evs[strategy] = charging.ev_power_frame(schedule, topo)
-    no_ev = np.zeros(SLOTS_PER_DAY, dtype=bool)
-    own = {s: evs[s].any(axis=(1, 2)) if s in evs else no_ev for s in strategies}
+    households = inputs.households_for_trial(seeds["household"])
+    schedules = inputs.schedules_for_trial(seeds["fleet"])
+    cells = {s: schedule.cells() for s, schedule in schedules.items()}
+    own = {s: np.zeros(SLOTS_PER_DAY, dtype=bool) for s in inputs.strategies}
+    for strategy, (slot, _, _) in cells.items():
+        own[strategy][slot] = True
     shared = ~np.logical_and.reduce(list(own.values()))
-    ends = np.cumsum([shared.sum()] + [mask.sum() for mask in own.values()])
-    rows = np.empty((ends[-1],) + frame.shape[1:], dtype=complex)
-    np.compress(shared, frame, axis=0, out=rows[: ends[0]])
+    slots = np.concatenate([np.flatnonzero(mask) for mask in [shared, *own.values()]])
+    rows = _household_rows(households, slots, inputs.topology.n_buses)
+    ends = np.cumsum([mask.sum() for mask in [shared, *own.values()]])
     days = {}
     for (strategy, mask), start, stop in zip(own.items(), ends, ends[1:]):
         days[strategy] = np.cumsum(shared) - 1
         days[strategy][mask] = np.arange(start, stop)
-        if strategy in evs:
-            # complex + float, as np.add: a -0.0 imaginary part becomes +0.0
-            out = np.compress(mask, frame, axis=0, out=rows[start:stop])
-            out += np.compress(mask, evs.pop(strategy), axis=0)
+        if strategy in cells:
+            slot, bus, phase = cells[strategy]
+            rows.real[days[strategy][slot], bus, phase] += schedules[strategy].power_w
     return rows, days
 
 
@@ -325,7 +340,7 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
     days_of = [{} for _ in seeds]
 
     def rows_of(sd: dict, days: dict) -> np.ndarray:
-        rows, trial_days = _trial_rows(inputs, sd, strategies)
+        rows, trial_days = _trial_rows(inputs, sd)
         days.update(trial_days)
         return rows
 
@@ -398,7 +413,8 @@ def validate(config: ScenarioConfig) -> dict:
 
     Uses noise-free household demand at the curve's valley, shoulder (08:00)
     and peak slots; reads only the feeder and the curve. Returns per-snapshot
-    residuals plus an ``ok`` flag that is False when the solvers disagree
+    residuals plus an ``ok`` flag, and ``failures``: one line per snapshot
+    and cause that clears ``ok``, a solver that stopped unconverged or a gap
     beyond ORACLE_TOLERANCE_PU. A snapshot the feeder cannot serve raises
     SimulationError naming the snapshot and slot.
     """
@@ -417,8 +433,7 @@ def validate(config: ScenarioConfig) -> dict:
     limits = {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations}
     slots = list(snapshots.values())
     sweep = powerflow.solve_batch(topo, demand[slots], **limits)
-    rows = {}
-    ok = True
+    rows, failures = {}, []
     for i, (name, t) in enumerate(snapshots.items()):
         try:
             powerflow.check_collapse(sweep, i, topo)
@@ -434,11 +449,18 @@ def validate(config: ScenarioConfig) -> dict:
             "disagreement_pu": disagreement,
             "min_voltage_pu": float(sweep[i].phase_voltage_pu(topo.v_base).min()),
         }
-        if disagreement > ORACLE_TOLERANCE_PU or not (sweep.converged[i] and direct.converged):
-            ok = False
+        ended = {"sweep": (sweep.iterations[i], sweep.converged[i]),
+                 "direct": (direct.iterations, direct.converged)}
+        causes = [f"the {solver} solver stopped unconverged after {k} iterations"
+                  for solver, (k, converged) in ended.items() if not converged]
+        if disagreement > ORACLE_TOLERANCE_PU:
+            causes.append(f"the solvers disagree by {disagreement:.3e} pu, "
+                          f"beyond {ORACLE_TOLERANCE_PU:.0e} pu")
+        failures += [f"{name} snapshot, slot {t}: {cause}" for cause in causes]
     for row, kcl, p, q in zip(rows.values(), *powerflow.residuals(sweep, topo, demand[slots])):
         row.update(kcl_residual_a=float(kcl), power_balance_err=(float(p), float(q)))
-    return {"ok": ok, "snapshots": rows, "tolerance_pu": ORACLE_TOLERANCE_PU}
+    return {"ok": not failures, "failures": failures, "snapshots": rows,
+            "tolerance_pu": ORACLE_TOLERANCE_PU}
 
 
 # ---------------------------------------------------------------------------

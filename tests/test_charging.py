@@ -221,6 +221,18 @@ def test_duration_longer_than_a_day_is_infeasible():
         schedule_uncontrolled(huge)
 
 
+@pytest.mark.parametrize("cap, power_w, slots", [
+    (1e20, 3500.0, "51428571428571422720"),  # past every 64-bit integer
+    (1e10, 1e-300, "inf"),
+])
+def test_a_duration_no_integer_holds_is_more_than_a_day(cap, power_w, slots):
+    fleet = fleet_of(ev(cap=cap, soc=0.5), charge_power_w=power_w)
+    message = f"^vehicle at bus 1 phase a needs {slots} slots, more than one day at {power_w} W$"
+    for schedule in (schedule_uncontrolled, schedule_timer, schedule_semi_smart):
+        with pytest.raises(SchedulingError, match=message):
+            schedule(fleet)
+
+
 def test_strategies_are_pure(fleet34, zones3):
     for strategy in (schedule_uncontrolled, schedule_timer, schedule_semi_smart):
         assert columns_of(strategy(fleet34)) == columns_of(strategy(fleet34))

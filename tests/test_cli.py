@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
 
+from evfeeder import scenario
 from evfeeder.cli import main
 from evfeeder.loads import FleetDataWarning
 from evfeeder.scenario import default_fleet_path
@@ -259,3 +261,29 @@ def test_warnings_print_as_one_line(capsys):
     assert err and all(line.startswith("warning: ") for line in err)
     assert any("initial SOC outside" in line for line in err)
     assert not any("scenario.py" in line for line in err)
+
+
+def test_validate_names_each_failing_snapshot_and_its_cause(capsys, monkeypatch):
+    assert main(["validate", "--max-iter", "3"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAIL: {name} snapshot, slot {t}: the {solver} solver stopped unconverged after 3 iterations"
+        for name, t in (("valley", 8), ("shoulder", 32), ("peak", 72)) for solver in ("sweep", "direct")
+    ]
+    monkeypatch.setattr(scenario, "ORACLE_TOLERANCE_PU", 1e-20)
+    assert main(["validate"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in err] == [
+        " valley snapshot, slot 8", " shoulder snapshot, slot 32", " peak snapshot, slot 72"]
+    for line in err:
+        assert re.fullmatch(r"FAIL: \w+ snapshot, slot \d+: the solvers disagree by "
+                            r"\d\.\d{3}e-\d\d pu, beyond 1e-20 pu", line)
+
+
+def test_a_vehicle_needing_more_slots_than_an_integer_holds_exits_cleanly(tmp_path, capsys):
+    fleet = tmp_path / "fleet.txt"
+    fleet.write_text("3 a 1e20 19:00 07:00 50\n")
+    assert main(["run", "--fleet", str(fleet)]) == 2
+    assert capsys.readouterr().err == (
+        "error: vehicle at bus 3 phase a needs 51428571428571422720 slots, "
+        "more than one day at 3500.0 W\n"
+    )

@@ -359,6 +359,34 @@ def test_charge_duration_exact_slot_boundary():
     assert charge_duration_slots(25, 0.60, 3500.0) == 10
 
 
+def ref_duration_slots(capacity_kwh, initial_soc, charge_power_w):
+    """Each value rounded to nine places with the built-in round(), then up:
+    the reference for charge_duration_slots."""
+    deficit = np.maximum(0.95 - np.asarray(initial_soc, dtype=float), 0.0)
+    slots = np.multiply(capacity_kwh, deficit) / (charge_power_w / 1000.0) / 0.25
+    return [math.ceil(round(x, 9)) for x in np.ravel(slots).tolist()]
+
+
+def test_charge_duration_rounds_as_the_built_in_round_does():
+    k = np.arange(97.0)
+    offsets = (0.0, 1e-10, -1e-10, 5e-10, -5e-10, 9e-9, 2e-8, 0.5)
+    near = np.concatenate([k + d for d in offsets])
+    cap, soc = (grid.ravel() for grid in np.meshgrid(np.arange(1, 61) * 0.5, np.arange(20) * 0.05))
+    for args in (
+        (near * 0.25 * 3.5 / 0.95, 0.0, 3500.0),  # slots 1e-10 either side of whole numbers
+        (cap, soc, 3500.0), (cap, soc, 7400.0), (cap, soc, 2300.0),  # exact multiples, with noise
+    ):
+        got = charge_duration_slots(*args)
+        assert got.tolist() == ref_duration_slots(*args)
+    slots = near * 0.25 * 3.5 / 0.95 * 0.95 / 3.5 / 0.25
+    past = slots - np.round(slots)
+    assert ((0 < past) & (past <= 1e-9)).any() and ((-1e-9 <= past) & (past < 0)).any()
+    assert (past == 0).any()
+    # where the built-in round() decides: just past a whole number, it holds
+    capacity = np.array([1 + 1e-10, 1 + 2e-8]) * 0.25 * 3.5 / 0.95
+    assert charge_duration_slots(capacity, 0.0).tolist() == [1, 2]
+
+
 def test_shipped_fleet_durations():
     with pytest.warns(FleetDataWarning):
         fleet = load_fleet(default_fleet_path())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from evfeeder import metrics, powerflow, scenario
-from evfeeder.charging import ev_power_frame
+from evfeeder.charging import ScheduleWarning, ev_power_frame
 from evfeeder.loads import FleetDataWarning, load_fleet
 from evfeeder.metrics import ReducedRows, compare_scenarios, reduce_horizon, row_sink
 from evfeeder.powerflow import (
@@ -495,6 +495,70 @@ def horizon_calls(monkeypatch):
 
     monkeypatch.setattr(scenario, "solve_horizon", recording)
     return calls
+
+
+def dense_trial_rows(inputs, seeds, strategies):
+    """A trial's rows and days built from dense (96, buses, 3) household and EV
+    frames, one per trial and charging strategy: the reference for _trial_rows."""
+    frame = household_frame(inputs.households_for_trial(seeds["household"]), inputs.topology)
+    fleet = inputs.fleet_for_trial(seeds["fleet"])
+    evs = {}
+    for strategy in strategies:
+        schedule = build_schedule(strategy, fleet, timer_start=inputs.cfg.timer_start,
+                                  zone_plan=inputs.zone_plan)
+        if schedule is not None:
+            evs[strategy] = ev_power_frame(schedule, inputs.topology)
+    no_ev = np.zeros(SLOTS_PER_DAY, dtype=bool)
+    own = {s: evs[s].any(axis=(1, 2)) if s in evs else no_ev for s in strategies}
+    shared = ~np.logical_and.reduce(list(own.values()))
+    ends = np.cumsum([shared.sum()] + [mask.sum() for mask in own.values()])
+    rows = np.empty((ends[-1],) + frame.shape[1:], dtype=complex)
+    np.compress(shared, frame, axis=0, out=rows[: ends[0]])
+    days = {}
+    for (strategy, mask), start, stop in zip(own.items(), ends, ends[1:]):
+        days[strategy] = np.cumsum(shared) - 1
+        days[strategy][mask] = np.arange(start, stop)
+        if strategy in evs:
+            out = np.compress(mask, frame, axis=0, out=rows[start:stop])
+            out += np.compress(mask, evs[strategy], axis=0)
+    return rows, days
+
+
+@pytest.mark.parametrize("extra", [
+    {}, {"penetration": 0.6}, {"penetration": 0.0}, {"leading_pf": True, "sigma_fraction": 3.0},
+    {"penetration": 0.3, "leading_pf": True, "timer_start": 90},
+], ids=["file-fleet", "sampled", "no-evs", "leading-pf", "sampled-leading-late-timer"])
+@pytest.mark.parametrize("strategies", [STRATEGIES] + [(s,) for s in STRATEGIES],
+                         ids=["sweep", *STRATEGIES])
+def test_trial_rows_match_the_dense_frame_construction(extra, strategies):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScheduleWarning)
+        inputs = _Inputs(ScenarioConfig(seed=7, **extra).resolved(), strategies)
+        for seeds in trial_seeds(7, 2):
+            rows, days = scenario._trial_rows(inputs, seeds)
+            ref_rows, ref_days = dense_trial_rows(inputs, seeds, strategies)
+            assert rows.tobytes() == ref_rows.tobytes()
+            assert list(days) == list(ref_days) == list(strategies)
+            for strategy, index in days.items():
+                assert index.tobytes() == ref_days[strategy].tobytes(), strategy
+            if "sigma_fraction" in extra:  # clipped draws give -0.0 vars, and no row keeps one
+                q = inputs.households_for_trial(seeds["household"]).q
+                assert np.signbit(q[q == 0]).any() and not np.signbit(rows.imag[rows.imag == 0]).any()
+
+
+def test_a_file_fleets_schedules_are_built_once_per_run(monkeypatch):
+    built, build = [], scenario.build_schedule
+
+    def recording(strategy, *args, **kwargs):
+        built.append(strategy)
+        return build(strategy, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "build_schedule", recording)
+    run_sweep(ScenarioConfig(seed=1, trials=3, sigma_fraction=0.02))
+    assert built == list(STRATEGIES)
+    built.clear()
+    run_sweep(ScenarioConfig(seed=1, trials=2, penetration=0.1, sigma_fraction=0.02))
+    assert built == list(STRATEGIES) * 2  # a sampled fleet's, once per trial
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
