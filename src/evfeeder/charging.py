@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .loads import FleetSpec, charge_duration_slots
-from .network import PHASES, NetworkTopology, statements
+from .network import PHASES, NetworkTopology, read_text, statements
 from .slots import SLOTS_PER_DAY, slot_of, time_of
 
 TIMER_DEFAULT_START = slot_of("24:00")
@@ -152,7 +152,7 @@ def load_zone_plan(path: str | Path) -> ZonePlan:
     """Read a zone plan file: `zone <number> <start HH:MM> <bus,bus,...>`."""
     zones: dict[int, int] = {}
     starts: dict[int, int] = {}
-    for lineno, stmt in statements(Path(path).read_text()):
+    for lineno, stmt in statements(read_text(path)):
         parts = stmt.split()
         if len(parts) != 4 or parts[0] != "zone":
             raise ValueError(f"{path}:{lineno}: expected `zone <n> <HH:MM> <buses>`")

@@ -120,17 +120,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     every = "feeder curve fleet penetration zones timer-start seed trials sigma tolerance max-iter out"
-    for name, func, strategy, options, about in (
-        ("run", _cmd_run, "semismart", every, "run one charging scenario"),
-        ("sweep", _cmd_sweep, "semismart", every, "run all five scenarios and compare"),
-        ("validate", _cmd_validate, "baseline", "feeder curve tolerance max-iter",
-         "cross-check the two solvers"),
-        ("sample", _cmd_sample, "baseline", "feeder curve penetration seed sigma out",
+    for name, func, options, about in (
+        ("run", _cmd_run, every, "run one charging scenario"),
+        ("sweep", _cmd_sweep, every, "run all five scenarios and compare"),
+        ("validate", _cmd_validate, "feeder curve tolerance max-iter", "cross-check the two solvers"),
+        ("sample", _cmd_sample, "feeder curve penetration seed sigma out",
          "draw a fleet (and optionally loads)"),
     ):
-        sub.add_parser(name, help=about).set_defaults(func=func, strategy=strategy)
+        sub.add_parser(name, help=about).set_defaults(func=func)
         _add_options(sub.choices[name], options)
-    sub.choices["run"].add_argument("--strategy", choices=STRATEGIES, default="semismart")
+    sub.choices["run"].add_argument("--strategy", choices=STRATEGIES, default=argparse.SUPPRESS)
     sub.choices["sample"].add_argument("--households", action="store_true",
                                        help="also write sampled household profiles")
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import PHASES, statements
+from .network import PHASES, _repeats, read_text, statements
 from .slots import SLOTS_PER_DAY, SLOT_HOURS, slot_of, slot_of_hours, time_of
 
 DEFAULT_PEAK_W = 2000.0
@@ -92,7 +92,7 @@ def default_base_curve(peak_w: float = DEFAULT_PEAK_W) -> BaseLoadCurve:
 def load_base_curve(path: str | Path) -> BaseLoadCurve:
     """Read a 96-value curve file (one value in watts per line, # comments)."""
     values = []
-    for lineno, stmt in statements(Path(path).read_text()):
+    for lineno, stmt in statements(read_text(path)):
         try:
             value = float(stmt)
         except ValueError as exc:
@@ -159,19 +159,13 @@ def _vehicle_fault(bus, phase, capacity_kwh, arrival, departure, initial_soc) ->
     def on_day(slot):
         return (0 <= slot) & (slot < SLOTS_PER_DAY)
 
-    # a vehicle whose (bus, phase) an earlier one holds; the stable sort keeps
-    # each spot's first vehicle ahead of its repeats
-    order = np.lexsort((phase, bus))
-    first, then = order[:-1], order[1:]
-    repeat = np.zeros(len(bus), dtype=bool)
-    repeat[then] = (bus[then] == bus[first]) & (phase[then] == phase[first])
     failed = np.stack([
         (phase < 0) | (phase >= len(PHASES)),
         ~((0 < capacity_kwh) & (capacity_kwh < math.inf)),
         ~((0 <= initial_soc) & (initial_soc <= SOC_TARGET)),
         ~(on_day(arrival) & on_day(departure)),
         arrival == departure,
-        repeat,
+        _repeats(phase, bus),  # a (bus, phase) an earlier vehicle holds
     ])
     bad = np.flatnonzero(failed.any(axis=0))
     if not bad.size:
@@ -255,17 +249,17 @@ def truncated_normal(rng, mean: float, sd: float, low: float, high: float, size:
 def sample_fleet(
     consumers: list[tuple[int, str]],
     penetration: float,
-    dist: EvDistributions = EvDistributions(),
     charge_power_w: float = DEFAULT_CHARGE_POWER_W,
     seed=0,
 ) -> FleetSpec:
     """Assign EVs to floor(penetration * len(consumers)) consumers.
 
     Owners are chosen uniformly without replacement and kept in consumer
-    order; per-vehicle parameters follow `dist`. Fully determined by the seed.
+    order; per-vehicle parameters follow `EvDistributions`. Fully determined by the seed.
     """
     if not 0 <= penetration <= 1:
         raise ValueError("penetration must be in [0, 1]")
+    dist = EvDistributions()
     rng = np.random.default_rng(seed)
     count = int(penetration * len(consumers))
     chosen = np.sort(rng.choice(len(consumers), size=count, replace=False))
@@ -319,7 +313,7 @@ def load_fleet(
     over the distribution's bounds.
     """
     path = Path(fleet_file)
-    text = path.read_text()  # before the try: a decode error names no row
+    text = read_text(path)
     rows, linenos = [], []
 
     def columns() -> list[np.ndarray]:

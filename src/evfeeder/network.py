@@ -17,20 +17,21 @@ Per-line neutral columns override ``neutral_scale``. The upstream transformer
 reactance is recorded only: the slack voltage is fixed at bus 1, so any
 series impedance above it is unobservable downstream.
 
-`NetworkTopology` checks the lines: of several faults it names the header's
-first, else the first line at fault and the first check that line fails.
-`statements` reads the rows of every input file by this grammar.
+The file is read in one pass, and its first malformed row raises at once.
+`NetworkTopology` then checks the lines: of several faults it names the
+header's first, else the first line at fault and the first check that line
+fails. `read_text` and `statements` read every input file by this grammar.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class TopologyError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class LineSegment:
+class LineSegment(NamedTuple):
     """One segment: three identical phase conductors plus a neutral; `NetworkTopology` checks it."""
 
     from_bus: int
@@ -69,8 +69,9 @@ class NetworkTopology:
     """Immutable radial feeder: buses 1..N, N-1 lines, slack at bus 1.
 
     The lines are read-only columns in line order: ``from_bus`` and
-    ``to_bus`` bus numbers and complex ``z_phase`` and ``z_neutral`` ohms,
-    given as ``columns=`` or taken from `LineSegment` records as ``lines=``.
+    ``to_bus`` bus numbers and complex ``z_phase`` and ``z_neutral`` ohms.
+    ``lines=`` gives them as rows of these four: `LineSegment` records or
+    plain tuples.
     Derived lookups (bus count, records, sweep order, line arrays, sweep
     schedule) are computed once, on first use, and cached; the cached arrays
     are read-only, so instances are safe to share across concurrent scenario
@@ -86,11 +87,8 @@ class NetworkTopology:
     transformer_reactance: float = 0.0
 
     def __init__(self, lines=(), slack_voltage_magnitude=220.0, v_base=220.0,
-                 transformer_reactance=0.0, *, columns=None):
-        if columns is None:
-            vars(self)["lines"] = lines = tuple(lines)
-            columns = zip(*((ln.from_bus, ln.to_bus, ln.z_phase, ln.z_neutral) for ln in lines))
-        frm, to, zp, zn = list(columns) or [()] * 4
+                 transformer_reactance=0.0):
+        frm, to, zp, zn = list(zip(*lines)) or [()] * 4
         # a bus number past 64 bits makes an object column; it fails a check
         frm, to = (np.array(c) if len(c) else np.zeros(0, dtype=int) for c in (frm, to))
         zp, zn = np.array(zp, dtype=complex), np.array(zn, dtype=complex)
@@ -237,6 +235,18 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
+def read_text(path: str | Path) -> str:
+    """A file's text, read as UTF-8; a byte that is not UTF-8 raises naming its `file:line`."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def statements(text: str) -> Iterator[tuple[int, str]]:
     """Each ``(line number, row)`` of an input file, without comments and blank rows."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -252,65 +262,40 @@ def _finite(token: str) -> float:
     return value
 
 
-def _complex(real: tuple[str, ...], imag: tuple[str, ...]) -> np.ndarray:
-    z = np.empty(len(real), dtype=complex)
-    z.real, z.imag = list(map(float, real)), list(map(float, imag))
-    return z
-
-
-def _line_columns(fields: list[list[str]], neutral_scale: float) -> tuple:
-    """The bus and impedance columns of `line` rows, each converted as a whole."""
-    if not set(map(len, fields)) <= {5, 7}:
-        raise IndexError
-    _, frm, to, *z = itertools.zip_longest(*fields, fillvalue="0") if fields else [()] * 5
-    zp = _complex(*z[:2])
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value fails its check
-        zn = neutral_scale * zp
-    if len(z) == 4:  # some row names its neutral
-        zn = np.where(np.array(list(map(len, fields))) == 7, _complex(*z[2:]), zn)
-    return list(map(int, frm)), list(map(int, to)), zp, zn
-
-
 def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
     hdr = {"slack_voltage": None, "v_base": None, "transformer_reactance": 0.0, "neutral_scale": 1.0}
-    rows, fields, fault = [], [], None  # `line` rows are converted after the scan
+    rows, linenos = [], []
     for lineno, stmt in statements(text):
-        parts = stmt.split()
-        if parts[0] == "line":
-            rows.append((lineno, stmt))
-            fields.append(parts)
-            continue
-        try:  # a header row, `<key> <value>`
-            if parts[0] not in hdr:
-                raise FeederFormatError(f"unknown keyword {parts[0]!r}")
-            if len(parts) != 2:
+        key, *values = stmt.split()
+        try:
+            if key == "line":
+                if len(values) not in (4, 6):
+                    raise IndexError
+                z = [float(v) for v in values[2:]]
+                zn = complex(z[2], z[3]) if len(z) == 4 else None
+                rows.append((int(values[0]), int(values[1]), complex(z[0], z[1]), zn))
+                linenos.append(lineno)
+            elif key not in hdr:
+                raise FeederFormatError(f"unknown keyword {key!r}")
+            elif len(values) != 1:
                 raise IndexError
-            hdr[parts[0]] = _finite(parts[1])
+            else:
+                hdr[key] = _finite(values[0])
         except (ValueError, IndexError) as exc:
             fault = exc if isinstance(exc, FeederFormatError) else f"malformed row {stmt!r}"
-            fault = FeederFormatError(f"{source}:{lineno}: {fault}")
-            break  # unless a `line` row above it is malformed
-    try:
-        columns = _line_columns(fields, hdr["neutral_scale"])
-    except (ValueError, IndexError):
-        for (lineno, stmt), parts in zip(rows, fields):  # only a failed conversion looks for its row
-            try:
-                _line_columns([parts], 1.0)
-            except (ValueError, IndexError) as exc:
-                raise FeederFormatError(f"{source}:{lineno}: malformed row {stmt!r}") from exc
-    if fault is not None:
-        raise fault
+            raise FeederFormatError(f"{source}:{lineno}: {fault}") from None
     if hdr["slack_voltage"] is None:
         raise FeederFormatError(f"{source}: missing slack_voltage header")
+    scale = hdr["neutral_scale"]  # the file's last, which may follow `line` rows
     try:
         return NetworkTopology(
-            columns=columns,
+            [(f, t, zp, scale * zp if zn is None else zn) for f, t, zp, zn in rows],
             slack_voltage_magnitude=hdr["slack_voltage"],
             v_base=hdr["slack_voltage"] if hdr["v_base"] is None else hdr["v_base"],
             transformer_reactance=hdr["transformer_reactance"],
         )
     except TopologyError as exc:
-        where = source if exc.line is None else f"{source}:{rows[exc.line][0]}"
+        where = source if exc.line is None else f"{source}:{linenos[exc.line]}"
         raise TopologyError(f"{where}: {exc}") from None
 
 
@@ -321,7 +306,7 @@ def load_topology(feeder_file: str | Path) -> NetworkTopology:
     and TopologyError when the rows do not form a radial tree rooted at bus 1.
     """
     path = Path(feeder_file)
-    return _parse_feeder_text(path.read_text(), str(path))
+    return _parse_feeder_text(read_text(path), str(path))
 
 
 def format_topology(topology: NetworkTopology) -> str:

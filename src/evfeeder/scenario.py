@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from . import charging, loads, metrics, powerflow
 from .charging import ChargeSchedule, ZonePlan
 from .loads import FleetSpec, Households
 from .metrics import ReducedRows, ScenarioReport
-from .network import PHASES, WIRES, NetworkTopology, load_topology, statements
+from .network import PHASES, WIRES, NetworkTopology, load_topology, read_text, statements
 from .powerflow import HorizonState, InfeasibleInjectionError
 from .slots import SLOTS_PER_DAY, slot_of
 
@@ -245,7 +246,7 @@ class _Inputs:
             n, bus = self.topology.n_buses, self.file_fleet.bus
             outside = np.flatnonzero((bus < 1) | (bus > n))
             if outside.size:  # each statement of a loaded fleet file is one vehicle
-                lineno, _ = list(statements(cfg.fleet_file.read_text()))[outside[0]]
+                lineno, _ = list(statements(read_text(cfg.fleet_file)))[outside[0]]
                 raise ValueError(
                     f"{cfg.fleet_file}:{lineno}: vehicle at bus {bus[outside[0]]} is outside the "
                     f"feeder's {n} buses"
@@ -503,18 +504,10 @@ def write_report_files(out: Path, report: ScenarioReport, topology: NetworkTopol
     _write_rows(out / "losses.csv", "slot,loss_kw", [""], report.loss_kw[:, None])
 
 
-def _config_echo(cfg: ScenarioConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    for key, value in echo.items():
-        if isinstance(value, Path):
-            echo[key] = str(value)
-    return echo
-
-
 def build_manifest(cfg: ScenarioConfig, seeds: list[dict[str, int]]) -> dict:
     return {
         "version": __version__,
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "trial_seeds": seeds,
         "wall_clock_unix": time.time(),
     }
@@ -523,7 +516,7 @@ def build_manifest(cfg: ScenarioConfig, seeds: list[dict[str, int]]) -> dict:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with _create(path) as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        f.write(json.dumps(payload, indent=2, sort_keys=True, default=os.fspath) + "\n")
 
 
 def _write_comparison_csv(path: Path, table: dict[str, dict[str, float]]) -> None:

@@ -29,6 +29,8 @@ def test_sweep_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "uncontrolled" in out and "semismart" in out
     assert (tmp_path / "sweep" / "comparison.csv").exists()
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    assert manifest["config"]["strategy"] == "semismart"
 
 
 def test_validate_subcommand(capsys):
@@ -159,6 +161,22 @@ def test_faulty_input_file_is_named(tmp_path, capsys, option, text, where, messa
     path.write_text(text)
     rc = main(["run", "--strategy", "uncontrolled", option, str(path)])
     assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}{where}: {message}"]
+
+
+@pytest.mark.parametrize("option, data, where", [
+    ("--feeder", b"slack_voltage 220\nline 1 2 0.1 0.0 # \xff\n", ":2"),
+    ("--curve", b"# watts\n" + b"500.0\n" * 40 + b"5\xff0.0\n" + b"500.0\n" * 55, ":42"),
+    ("--fleet", b"# bus phase capacity_kwh arrival departure soc\n2 a 20 17:00 05:00 50\n"
+     b"3 \xff 20 17:00 05:00 50\n", ":3"),
+    ("--zones", b"zone 1 23:00 2,3\r\nzone 2 \xff 4\r\n", ":2"),
+], ids=["feeder", "curve", "fleet", "zones"])
+def test_input_file_that_is_not_utf8_is_named(tmp_path, capsys, option, data, where):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    rc = main(["run", "--strategy", "uncontrolled", option, str(path)])
+    assert rc == 2
+    message = "byte 0xff is not UTF-8 (invalid start byte)"
     assert capsys.readouterr().err.splitlines() == [f"error: {path}{where}: {message}"]
 
 

@@ -207,6 +207,11 @@ def test_neutral_scale_header():
     assert topo.lines[0].z_neutral == pytest.approx(0.15 + 0.05j)
 
 
+def test_a_neutral_scale_after_the_line_rows_applies_to_them():
+    topo = loads_topology("slack_voltage 220\nline 1 2 0.3 0.1\nneutral_scale 0.5\n")
+    assert topo.lines[0].z_neutral == 0.5 * complex(0.3, 0.1)
+
+
 def test_per_line_neutral_overrides_scale():
     topo = loads_topology(
         "slack_voltage 220\nneutral_scale 0.5\nline 1 2 0.3 0.1 0.7 0.2\n"
@@ -484,6 +489,15 @@ def test_first_malformed_row_is_named_before_later_faults():
     message = rf"^<string>:{linenos[5]}: unknown keyword 'frobnicate'$"
     with pytest.raises(FeederFormatError, match=message):
         loads_topology("".join(rows))
+
+
+@pytest.mark.parametrize("text, where", [
+    ("slack_voltage -5\nline 1 2 0.1 0.1\nline 2 3 x 0.1\n", 3),
+    ("slack_voltage 220\nline 2 2 0.1 0.1\nline 1 2 0.1 0.1\nline 2 3 x 0.1\n", 4),
+], ids=["bad-slack-voltage", "self-loop"])
+def test_a_malformed_row_beats_header_values_and_line_faults(text, where):
+    with pytest.raises(FeederFormatError, match=rf"^<string>:{where}: malformed row 'line 2 3 x 0.1'$"):
+        loads_topology(text)
 
 
 def test_mixed_neutral_columns_keep_the_per_row_values():

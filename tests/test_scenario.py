@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +144,8 @@ def test_sweep_writes_expected_files(tmp_path):
     assert (tmp_path / "manifest.json").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 1
+    assert manifest["config"] == {key: str(value) if isinstance(value, Path) else value
+                                  for key, value in dataclasses.asdict(cfg.resolved()).items()}
     assert manifest["trial_seeds"] == trial_seeds(1, 1)
     comparison = (tmp_path / "comparison.csv").read_text().splitlines()
     assert comparison[0].startswith("scenario,")
