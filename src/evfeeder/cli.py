@@ -12,7 +12,7 @@ from pathlib import Path
 from . import loads, scenario
 from .metrics import compare_scenarios, format_comparison
 from .scenario import STRATEGIES, ScenarioConfig, SimulationError
-from .slots import slot_of
+from .slots import SLOTS_PER_DAY, slot_of
 
 
 def _add_options(p: argparse.ArgumentParser, names: str) -> None:
@@ -104,7 +104,7 @@ def _cmd_sample(args) -> int:
         )
         hh_path = out / "households.csv"
         scenario._write_rows(
-            hh_path, "bus,phase,slot,p_w,q_var",
+            {hh_path: range(SLOTS_PER_DAY)}, "bus,phase,slot,p_w,q_var",
             [f"{bus},{phase}," for bus, phase in consumers],
             households.p.T, households.q.T,
         )

@@ -134,9 +134,9 @@ def sample_household_loads(
     """
     if not 0 <= sigma_fraction < math.inf:
         raise ValueError(f"sigma_fraction must be in [0, inf), got {sigma_fraction}")
-    for _, phase in consumers:
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
+    if not {phase for _, phase in consumers} <= set(PHASES):
+        unknown = next(phase for _, phase in consumers if phase not in PHASES)
+        raise ValueError(f"unknown phase {unknown!r}")
     rng = np.random.default_rng(seed)
     p = rng.standard_normal((len(consumers), SLOTS_PER_DAY))  # scaled in place
     p *= sigma_fraction * curve.p_base

@@ -264,7 +264,7 @@ def _finite(token: str) -> float:
 
 def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
     hdr = {"slack_voltage": None, "v_base": None, "transformer_reactance": 0.0, "neutral_scale": 1.0}
-    rows, linenos = [], []
+    rows, linenos, at = [], [], {}  # at: each header's last row
     for lineno, stmt in statements(text):
         key, *values = stmt.split()
         try:
@@ -280,7 +280,7 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
             elif len(values) != 1:
                 raise IndexError
             else:
-                hdr[key] = _finite(values[0])
+                hdr[key], at[key] = _finite(values[0]), lineno
         except (ValueError, IndexError) as exc:
             fault = exc if isinstance(exc, FeederFormatError) else f"malformed row {stmt!r}"
             raise FeederFormatError(f"{source}:{lineno}: {fault}") from None
@@ -294,8 +294,10 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
             v_base=hdr["slack_voltage"] if hdr["v_base"] is None else hdr["v_base"],
             transformer_reactance=hdr["transformer_reactance"],
         )
-    except TopologyError as exc:
-        where = source if exc.line is None else f"{source}:{linenos[exc.line]}"
+    except TopologyError as exc:  # at a line, else at a header row whose value is not positive
+        rows_at = [linenos[exc.line]] if exc.line is not None else [
+            at[key] for key in ("slack_voltage", "v_base") if key in at and hdr[key] <= 0]
+        where = f"{source}:{min(rows_at)}" if rows_at else source
         raise TopologyError(f"{where}: {exc}") from None
 
 

@@ -20,7 +20,9 @@ Every run writes plot-ready artifacts: ``summary.json``, ``voltages.csv``
 (bus, wire, slot, |V| pu), ``currents.csv``, ``losses.csv`` (slot, kW) and a
 ``manifest.json`` that echoes the resolved configuration and the derived
 per-trial seeds, enough to reproduce every output byte (wall-clock metadata
-aside). CSV rows are formatted in blocks, one ``%.9g`` template per block.
+aside). The CSVs show trial 0's day of each strategy, written in one pass:
+each distinct row of trial 0 is formatted once per run, one ``%.9g``
+template per block, and every strategy reading the row takes its line.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ import numbers
 import os
 import time
 from collections.abc import Iterator
+from contextlib import ExitStack
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -359,11 +363,14 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
         except SimulationError as exc:
             raise SimulationError(f"trial {i}: {exc}") from None
         for strategy, index in days.items():
-            report = metrics.reduce_horizon(strategy, rows, index, arrays=not i)
+            report = metrics.reduce_horizon(strategy, rows, index, arrays=False)
             per_trial[strategy].append(report.summary())
             reports.setdefault(strategy, report)
-        del rows, report  # the float rows are not held through the next trial's solve
+        first = first if i else rows  # trial 0's distinct rows, which its files read
+        del rows, report  # a later trial's float rows are not held through the next solve
     for strategy, report in reports.items():
+        index = days_of[0][strategy]
+        report.voltage_pu, report.current_a = first.voltage_pu[index], first.current_a[index]
         report.extra["per_trial"] = per_trial[strategy]
         report.extra["aggregate"] = _aggregate(per_trial[strategy])
     if cfg.out_dir is not None:
@@ -371,10 +378,9 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
         # one strategy writes into out_dir; several write a subdirectory each
         # plus a comparison table against the uncontrolled scenario
         single = len(strategies) == 1
+        write_report_files(out, first, {"" if single else s: days_of[0][s] for s in reports}, topo)
         for strategy, report in reports.items():
-            sub = out if single else out / strategy
-            write_report_files(sub, report, topo)
-            _write_json(sub / "summary.json", {
+            _write_json(out / ("" if single else strategy) / "summary.json", {
                 "scenario": strategy,
                 "trials": cfg.trials,
                 "per_trial": report.extra["per_trial"],
@@ -469,39 +475,57 @@ def validate(config: ScenarioConfig) -> dict:
 
 def _create(path: Path):
     """Open ``path`` as a new file; truncating a just-written one waits on the disk."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.unlink(missing_ok=True)
     return open(path, "w")
 
 
-def _write_rows(path: Path, header: str, keys: list[str], *columns: np.ndarray) -> None:
-    """Write a slot-indexed CSV, key-outer and slot-inner.
+def _write_rows(paths: dict[Path, np.ndarray], header: str, keys: list[str],
+               *columns: np.ndarray) -> None:
+    """Write slot-indexed CSVs, key-outer and slot-inner, whose days share rows.
 
-    Each column is a (96, len(keys)) array; ``keys[j]`` (``""`` for none, no
-    ``%``) opens key j's rows, which read ``<key><slot>,<value>[,<value>]``.
-    One ``%.9g`` template, the same text as ``format(x, '.9g')``, formats
-    whole keys in blocks of about 1024 rows, bounding the text held at once.
+    Each column is an (n_rows, len(keys)) array; ``paths`` maps each file to
+    the (96,) index of its slots' rows, and a row is read at one slot only.
+    ``keys[j]`` (``""`` for none, no ``%`` or newline) opens key j's lines,
+    ``<key><slot>,<value>[,<value>]``. One ``%.9g`` template, the same text as
+    ``format(x, '.9g')``, formats whole keys in blocks of about 1024 rows, each
+    row once, and every file reading the row takes its line.
     """
+    slot = np.zeros(len(columns[0]), dtype=int)
+    for index in paths.values():
+        slot[index] = np.arange(SLOTS_PER_DAY)
     cells = ",%.9g" * len(columns)
-    slot_rows = [f"{t}{cells}\n" for t in range(SLOTS_PER_DAY)]  # each row minus its key
-    per_block = max(1, 1024 // SLOTS_PER_DAY)
-    with _create(path) as f:
-        f.write(header + "\n")
+    row_lines = [f"{t}{cells}\n" for t in slot.tolist()]  # each row's line minus its key
+    per_block = max(1, 1024 // len(slot))
+    firsts = np.arange(per_block)[:, None] * len(slot)  # each key's first line in a block
+    with ExitStack() as stack:
+        files = [(stack.enter_context(_create(path)), (firsts + index).ravel().tolist())
+                 for path, index in paths.items()]
+        for f, _ in files:
+            f.write(header + "\n")
         for start in range(0, len(keys), per_block):
-            block = slice(start, start + per_block)
-            template = "".join(key + key.join(slot_rows) for key in keys[block])
-            values = np.stack([column[:, block].T for column in columns], axis=2)
-            f.write(template % tuple(values.ravel().tolist()))
+            block = keys[start:start + per_block]
+            template = "".join(key + key.join(row_lines) for key in block)
+            values = np.stack([column[:, start:start + per_block].T for column in columns], axis=2)
+            lines = (template % tuple(values.ravel().tolist())).split("\n")
+            for f, order in files:  # the file's lines of the block, key by key
+                f.write("\n".join(itemgetter(*order[:len(block) * SLOTS_PER_DAY])(lines)))
+                f.write("\n")
 
 
-def write_report_files(out: Path, report: ScenarioReport, topology: NetworkTopology) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def write_report_files(out: Path, rows: ReducedRows, days: dict[str, np.ndarray],
+                       topology: NetworkTopology) -> None:
+    """Write each day's CSVs from the rows the days share; ``days`` maps a
+    subdirectory of `out` (``""`` for `out`) to the (96,) index of its slots' rows."""
     bus_keys = [f"{b},{wire}," for b in topology.buses for wire in WIRES]
     line_keys = [f"{ln.from_bus},{ln.to_bus},{wire}," for ln in topology.lines for wire in WIRES]
-    _write_rows(out / "voltages.csv", "bus,wire,slot,v_pu", bus_keys,
-                report.voltage_pu.reshape(SLOTS_PER_DAY, -1))
-    _write_rows(out / "currents.csv", "from_bus,to_bus,wire,slot,i_a", line_keys,
-                report.current_a.reshape(SLOTS_PER_DAY, -1))
-    _write_rows(out / "losses.csv", "slot,loss_kw", [""], report.loss_kw[:, None])
+    n = len(rows)
+    for name, header, keys, column in (
+        ("voltages.csv", "bus,wire,slot,v_pu", bus_keys, rows.voltage_pu.reshape(n, -1)),
+        ("currents.csv", "from_bus,to_bus,wire,slot,i_a", line_keys, rows.current_a.reshape(n, -1)),
+        ("losses.csv", "slot,loss_kw", [""], rows.loss_kw[:, None]),
+    ):
+        _write_rows({out / sub / name: index for sub, index in days.items()}, header, keys, column)
 
 
 def build_manifest(cfg: ScenarioConfig, seeds: list[dict[str, int]]) -> dict:
@@ -514,7 +538,6 @@ def build_manifest(cfg: ScenarioConfig, seeds: list[dict[str, int]]) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with _create(path) as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True, default=os.fspath) + "\n")
 

@@ -148,6 +148,11 @@ _REPEAT_THEN_FAULT_FLEET = (
      ":1", "malformed row 'slack_voltage 220 230'"),
     ("--feeder", "slack_voltage 220\nv_base 220 junk\nline 1 2 0.1 0.0\n",
      ":2", "malformed row 'v_base 220 junk'"),
+    ("--feeder", "# header\nslack_voltage 220\nv_base 230\n# the last v_base row counts\n"
+     "v_base -5\nline 1 2 0.1 0.0\n",
+     ":5", "slack voltage and v_base must be positive and finite"),
+    ("--feeder", "v_base 0\nslack_voltage 220\nline 1 2 0.1 0.0\n",
+     ":1", "slack voltage and v_base must be positive and finite"),
     ("--curve", "500.0\n" * 95, "", "base curve needs 96 values, got (95,)"),
     ("--curve", "# watts\n" + "500.0\n" * 40 + "-5\n" + "500.0\n" * 55,
      ":42", "negative curve value '-5'"),
@@ -155,7 +160,8 @@ _REPEAT_THEN_FAULT_FLEET = (
     ("--fleet", "# bus phase capacity_kwh arrival departure soc\n2 a 20 17:00 05:00 50\n"
      "99 b 20 18:00 07:00 50\n", ":3", "vehicle at bus 99 is outside the feeder's 19 buses"),
 ], ids=["two-parents", "duplicate-line", "line-count", "header-extra-value", "header-junk",
-        "curve-count", "curve-negative", "fleet-repeat", "fleet-outside-feeder"])
+        "v-base-negative", "v-base-zero", "curve-count", "curve-negative", "fleet-repeat",
+        "fleet-outside-feeder"])
 def test_faulty_input_file_is_named(tmp_path, capsys, option, text, where, message):
     path = tmp_path / "input.txt"
     path.write_text(text)

@@ -169,7 +169,7 @@ def test_duplicate_line_rejected():
      r"^<string>:3: duplicate line 1->2$"),
     # a header fault beats every line's
     ("slack_voltage -5\nline 1 2 0.1 0.0\nline 2 2 0.1 0.0\n",
-     r"^<string>: slack voltage and v_base must be positive and finite$"),
+     r"^<string>:1: slack voltage and v_base must be positive and finite$"),
 ], ids=["duplicate-before-self-loop", "header-before-self-loop"])
 def test_first_fault_is_reported(text, message):
     with pytest.raises(TopologyError, match=message):

@@ -42,3 +42,22 @@ def test_traced_seed1_sweep_passes_the_oracle_check(perfbench):
     assert len(tracer.iterations[0]) == 245  # one per distinct row of the trial
     assert worker.oracle_check(cfg, reports)["ok"]
     assert feeder.tree_depth(load_topology(default_feeder_path())) == 7
+
+
+def test_traced_sweep_calls_the_writer_layer_and_writes_the_untraced_bytes(perfbench, tmp_path):
+    _, tracing, worker = perfbench
+
+    def sweep(out):
+        run_sweep(ScenarioConfig(seed=1, sigma_fraction=worker.PAPER19_SIGMA, out_dir=out))
+        return {path.relative_to(out): path.read_bytes() for path in out.rglob("*.csv")}
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.call(0, "scenario.run_sweep"):
+            traced = sweep(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("scenario.write_report_files") == 1
+    assert len(traced) == 3 * 5 + 1  # each strategy's three CSVs and comparison.csv
+    assert traced == sweep(tmp_path / "untraced")

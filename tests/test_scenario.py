@@ -285,7 +285,7 @@ EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1.5e-05, 1234567890.0, 1e16, 0.99999999995,
 def test_write_rows_matches_per_value_writer_on_edge_values(tmp_path, n_columns):
     keys = ["1,a,", "1,b,", "2,n,"]
     columns = [np.resize(np.roll(EDGE_VALUES, c), (SLOTS_PER_DAY, 3)) for c in range(n_columns)]
-    scenario._write_rows(tmp_path / "rows.csv", "key,slot,x", keys, *columns)
+    scenario._write_rows({tmp_path / "rows.csv": ONE_DAY}, "key,slot,x", keys, *columns)
     reference_write_csv(tmp_path / "ref.csv", "key,slot,x",
                         zip(keys, zip(*(column.T for column in columns))))
     text = (tmp_path / "rows.csv").read_text()
@@ -299,12 +299,54 @@ def test_report_files_match_per_value_writer_on_a_400_bus_feeder(tmp_path):
     # 1600 voltage keys fill whole blocks of 10 keys; the 1596 current keys
     # end in a part block
     topo, demand = wide_feeder_day()
-    day = solve_rows(topo, demand, {"": ONE_DAY})
-    report = reduce_horizon("uncontrolled", reduce_rows(day, topo), ONE_DAY)
-    write_report_files(tmp_path / "rows", report, topo)
+    rows = reduce_rows(solve_rows(topo, demand, {"": ONE_DAY}), topo)
+    report = reduce_horizon("uncontrolled", rows, ONE_DAY)
+    write_report_files(tmp_path / "rows", rows, {"": ONE_DAY}, topo)
     reference_report_files(tmp_path / "ref", report, topo)
     for name in ("voltages.csv", "currents.csv", "losses.csv"):
         assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+
+def test_sweep_files_match_per_value_writer_on_each_strategy_report(tmp_path, monkeypatch):
+    # Two trials on a 12-bus feeder: trial 1's rows are pulled and solved
+    # ahead while trial 0's, which every strategy's files read, are held.
+    # Trial 0 has about 200 distinct rows, so its blocks of 5 keys leave a
+    # part block of the 48 voltage and 44 current keys.
+    rng = np.random.default_rng(3)
+    topo = NetworkTopology(lines=tuple(
+        LineSegment(ln.from_bus, ln.to_bus, ln.z_phase / 100, ln.z_neutral / 100)
+        for ln in random_radial(rng, n_buses=12).lines
+    ))
+    save_topology(topo, tmp_path / "feeder.txt")
+    (tmp_path / "zones.txt").write_text(f"zone 1 23:00 {','.join(map(str, topo.buses))}\n")
+    events = []
+    trial_rows, solve = scenario._trial_rows, scenario.solve_horizon
+
+    def pulled(*args):
+        rows, days = trial_rows(*args)
+        events.append(len(rows))
+        return rows, days
+
+    def solved(*args):
+        rows = solve(*args)
+        events.append("solved")
+        return rows
+
+    monkeypatch.setattr(scenario, "_trial_rows", pulled)
+    monkeypatch.setattr(scenario, "solve_horizon", solved)
+    cfg = ScenarioConfig(feeder=tmp_path / "feeder.txt", zones=tmp_path / "zones.txt",
+                         penetration=0.5, trials=2, seed=4, out_dir=tmp_path / "out")
+    reports = run_sweep(cfg)
+    n_rows, _, first_solve, _ = events  # trial 1's rows pulled before trial 0's state
+    assert first_solve == "solved"
+    per_block = 1024 // n_rows
+    assert 4 * topo.n_buses % per_block and 4 * (topo.n_buses - 1) % per_block
+    (tmp_path / "ref").mkdir()
+    for strategy, report in reports.items():
+        reference_report_files(tmp_path / "ref" / strategy, report, topo)
+        for name in ("voltages.csv", "currents.csv", "losses.csv"):
+            written = (tmp_path / "out" / strategy / name).read_bytes()
+            assert written == (tmp_path / "ref" / strategy / name).read_bytes(), (strategy, name)
 
 
 def test_sampled_fleet_mode_runs():
