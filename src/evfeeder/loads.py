@@ -27,17 +27,10 @@ import numpy as np
 from .network import PHASES, _repeats, read_text, statements
 from .slots import SLOTS_PER_DAY, SLOT_HOURS, slot_of, slot_of_hours, time_of
 
-DEFAULT_PEAK_W = 2000.0
 DEFAULT_SIGMA_FRACTION = 0.20
 DEFAULT_POWER_FACTOR = 0.91
 DEFAULT_CHARGE_POWER_W = 3500.0
 SOC_TARGET = 0.95
-
-# Shape of the default residential curve as (hour, fraction of peak) anchors:
-# a night valley, a morning shoulder, and an evening peak plateau that decays
-# slowly until midnight, linearly interpolated over the 96 slots.
-_CURVE_ANCHORS_H = (0.0, 2.0, 5.0, 7.0, 9.0, 12.0, 16.0, 18.0, 21.0, 24.0)
-_CURVE_ANCHORS_FRAC = (0.875, 0.20, 0.20, 0.50, 0.50, 0.45, 0.60, 1.00, 1.00, 0.875)
 
 
 class FleetFormatError(ValueError):
@@ -74,19 +67,6 @@ class BaseLoadCurve:
         if np.any(arr < 0):
             raise ValueError("base curve values must be nonnegative")
         object.__setattr__(self, "p_base", arr)
-
-    @property
-    def peak_w(self) -> float:
-        return float(self.p_base.max())
-
-
-def default_base_curve(peak_w: float = DEFAULT_PEAK_W) -> BaseLoadCurve:
-    """Piecewise-linear residential curve scaled so its maximum is `peak_w`."""
-    if peak_w <= 0:
-        raise ValueError("peak_w must be positive")
-    hours = np.arange(SLOTS_PER_DAY) * SLOT_HOURS
-    values = np.interp(hours, _CURVE_ANCHORS_H, _CURVE_ANCHORS_FRAC) * peak_w
-    return BaseLoadCurve(values)
 
 
 def load_base_curve(path: str | Path) -> BaseLoadCurve:

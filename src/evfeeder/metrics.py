@@ -6,14 +6,13 @@ line current magnitudes, and each row's series losses and slack/load powers:
 a trial's rows in a few calls on a small feeder, and each iteration's on a
 large one, whose solver has no bus-slots to spare for waiting rows. A run so
 holds no complex state per trial. :func:`reduce_horizon` then gathers one
-strategy's 96 slots of voltages through its row index, locates the extremes
-and sums the energies in slot order; a report kept only for its summary
-gathers no currents. A collapsed row keeps where it fell, which the solver
-located, and ``powerflow.check_collapse`` reads it as it does a
-``HorizonState``'s. Losses are resistive I^2 R over every conductor
-including the neutral, integrated over the day. Voltages are reported per
-unit as |v_phase - v_neutral| / v_base for the phases and |v_neutral| /
-v_base for the neutral wire.
+strategy's 96 slots of voltages and currents through its row index, locates
+the extremes and sums the energies in slot order. A collapsed row keeps
+where it fell, which the solver located, and ``powerflow.check_collapse``
+reads it as it does a ``HorizonState``'s. Losses are resistive I^2 R over
+every conductor including the neutral, integrated over the day. Voltages
+are reported per unit as |v_phase - v_neutral| / v_base for the phases and
+|v_neutral| / v_base for the neutral wire.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class ScenarioReport:
     min_voltage: dict[str, Extremum]     # keys 'a','b','c','overall'
     phase_minima_at_worst_bus: dict[str, float]
     max_neutral: Extremum
-    voltage_pu: np.ndarray | None        # (96, n_buses, 4) magnitudes
-    current_a: np.ndarray | None         # (96, n_lines, 4) magnitudes
+    voltage_pu: np.ndarray               # (96, n_buses, 4) magnitudes
+    current_a: np.ndarray                # (96, n_lines, 4) magnitudes
     slack_energy_kwh: float
     load_energy_kwh: float
     extra: dict = field(default_factory=dict)
@@ -162,8 +161,7 @@ def row_sink(topology: NetworkTopology) -> tuple:
     return lambda n_rows: ReducedRows.zeros(n_rows, topology), reduce
 
 
-def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray,
-                   *, arrays: bool = True) -> ScenarioReport:
+def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> ScenarioReport:
     """Build the full report for one day from its reduced rows.
 
     ``slots`` indexes the day's 96 slots in ``rows``, which may hold a whole
@@ -171,9 +169,7 @@ def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray,
     ``phase_minima_at_worst_bus`` evaluates all three phases at the single
     overall worst bus, since the two conventions differ on unbalanced
     feeders. The slack and load energies integrate the slack supply and the
-    delivered load slot by slot. With ``arrays=False`` the report is only for
-    its summary(): ``voltage_pu`` and ``current_a`` are None, and the day's
-    current rows are not gathered.
+    delivered load slot by slot.
     """
     bad = np.flatnonzero(~rows.converged[slots]).tolist()
     if bad:
@@ -201,8 +197,8 @@ def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray,
         min_voltage=minima,
         phase_minima_at_worst_bus=at_worst,
         max_neutral=_extremum(voltage_pu[:, :, 3], np.argmax),
-        voltage_pu=voltage_pu if arrays else None,
-        current_a=rows.current_a[slots] if arrays else None,
+        voltage_pu=voltage_pu,
+        current_a=rows.current_a[slots],
         slack_energy_kwh=slack_wh / 1e3,
         load_energy_kwh=load_wh / 1e3,
     )

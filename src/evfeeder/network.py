@@ -155,16 +155,8 @@ class NetworkTopology:
 
     @cached_property
     def sweep_order(self) -> tuple[int, ...]:
-        """Buses root-first depth-first, children in line order; reversed for backward sweeps."""
-        kids: list[list[int]] = [[] for _ in range(self.n_buses + 1)]
-        for f, t in zip(self.from_bus.tolist(), self.to_bus.tolist()):
-            kids[f].append(t)
-        order, stack = [], [SLACK_BUS]
-        while stack:
-            b = stack.pop()
-            order.append(b)
-            stack.extend(reversed(kids[b]))
-        return tuple(order)
+        """Bus numbers in `sweep_schedule` row order: the slack first, each bus after its parent."""
+        return tuple((self.sweep_schedule[0] + 1).tolist())
 
     @cached_property
     def parent_line_index(self) -> dict[int, int]:

@@ -355,24 +355,21 @@ def _run(config: ScenarioConfig, strategies: tuple[str, ...]) -> dict[str, Scena
         tolerance=cfg.tolerance, max_iterations=cfg.max_iterations,
         sink=metrics.row_sink(topo),  # each slot's float rows, as it leaves
     )
-    reports: dict[str, ScenarioReport] = {}
-    per_trial: dict[str, list[dict]] = {s: [] for s in strategies}
+    later: dict[str, list[dict]] = {s: [] for s in strategies}
     for i, days in enumerate(days_of):
         try:
             rows = solve_horizon(topo, stream, days)
         except SimulationError as exc:
             raise SimulationError(f"trial {i}: {exc}") from None
-        for strategy, index in days.items():
-            report = metrics.reduce_horizon(strategy, rows, index, arrays=False)
-            per_trial[strategy].append(report.summary())
-            reports.setdefault(strategy, report)
-        first = first if i else rows  # trial 0's distinct rows, which its files read
-        del rows, report  # a later trial's float rows are not held through the next solve
+        if i:  # a later trial's reports are read for their summaries only
+            for strategy, index in days.items():
+                later[strategy].append(metrics.reduce_horizon(strategy, rows, index).summary())
+        first = first if i else rows  # trial 0's distinct rows, which its reports and files read
+        del rows  # a later trial's float rows are not held through the next solve
+    reports = {s: metrics.reduce_horizon(s, first, index) for s, index in days_of[0].items()}
     for strategy, report in reports.items():
-        index = days_of[0][strategy]
-        report.voltage_pu, report.current_a = first.voltage_pu[index], first.current_a[index]
-        report.extra["per_trial"] = per_trial[strategy]
-        report.extra["aggregate"] = _aggregate(per_trial[strategy])
+        report.extra["per_trial"] = [report.summary(), *later[strategy]]
+        report.extra["aggregate"] = _aggregate(report.extra["per_trial"])
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         # one strategy writes into out_dir; several write a subdirectory each

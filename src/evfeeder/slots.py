@@ -15,14 +15,14 @@ SLOT_HOURS = 0.25
 def slot_of(text: str) -> int:
     """Parse "HH:MM" into a slot index. "24:00" wraps to slot 0.
 
-    Minutes must be a multiple of 15.
+    Minutes must be a multiple of 15, and no other time may start with 24.
     """
     try:
         hh, mm = text.strip().split(":")
         hours, minutes = int(hh), int(mm)
     except ValueError as exc:
         raise ValueError(f"bad time {text!r}, expected HH:MM") from exc
-    if not (0 <= hours <= 24 and 0 <= minutes < 60):
+    if not ((0 <= hours < 24 and 0 <= minutes < 60) or (hours, minutes) == (24, 0)):
         raise ValueError(f"bad time {text!r}")
     if minutes % 15 != 0:
         raise ValueError(f"bad time {text!r}: minutes must be a multiple of 15")

@@ -275,6 +275,9 @@ def test_subcommand_rejects_options_it_does_not_read(argv, capsys):
 def test_bad_timer_start_exits_cleanly(capsys):
     assert main(["run", "--timer-start", "25:00"]) == 2
     assert capsys.readouterr().err == "error: bad time '25:00'\n"
+    # not 00:30: 24:00 is the only time past 23:45
+    assert main(["run", "--strategy", "timer", "--timer-start", "24:30"]) == 2
+    assert capsys.readouterr().err == "error: bad time '24:30'\n"
 
 
 def test_warnings_print_as_one_line(capsys):

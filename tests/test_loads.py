@@ -13,7 +13,6 @@ from evfeeder.loads import (
     FleetFormatError,
     FleetSpec,
     charge_duration_slots,
-    default_base_curve,
     load_base_curve,
     load_fleet,
     reactive_from_active,
@@ -34,6 +33,7 @@ from evfeeder.slots import slot_of
 
 CONSUMERS_57 = [(bus, ph) for bus in range(1, 20) for ph in "abc"]
 FLEET_COLUMNS = ("bus", "phase", "capacity_kwh", "arrival", "departure", "initial_soc")
+SHIPPED_CURVE = load_base_curve(default_curve_path())  # peak 700 W
 
 
 def columns_of(fleet):
@@ -42,26 +42,12 @@ def columns_of(fleet):
 
 # --- base curve --------------------------------------------------------------
 
-def test_default_curve_shape():
-    curve = default_base_curve()
-    assert curve.p_base.shape == (96,)
-    assert curve.peak_w == 2000.0
-    assert curve.p_base.min() == pytest.approx(400.0)        # night valley
-    assert curve.p_base[slot_of("03:00")] == pytest.approx(400.0)
-    assert curve.p_base[slot_of("08:00")] == pytest.approx(1000.0)  # shoulder
-    assert curve.p_base[slot_of("19:00")] == pytest.approx(2000.0)  # peak
-    assert np.all(curve.p_base >= 0)
-
-
-def test_default_curve_scales_with_peak():
-    curve = default_base_curve(700.0)
-    assert curve.peak_w == pytest.approx(700.0)
-    assert np.allclose(curve.p_base, default_base_curve().p_base * 0.35)
-
-
-def test_shipped_curve_file_matches_default_scaled():
-    curve = load_base_curve(default_curve_path())
-    assert np.array_equal(curve.p_base, default_base_curve(700.0).p_base)
+def test_shipped_curve_shape():
+    p = SHIPPED_CURVE.p_base
+    assert p.shape == (96,)
+    assert p.min() == p[slot_of("03:00")] == 140.0  # night valley
+    assert p[slot_of("08:00")] == 350.0  # morning shoulder
+    assert p.max() == p[slot_of("19:00")] == 700.0  # evening peak
 
 
 def truncated_normal_mean(mean: float, sd: float, low: float, high: float) -> float:
@@ -78,7 +64,7 @@ def save_base_curve(curve: BaseLoadCurve, path) -> None:
 
 
 def test_curve_file_round_trip(tmp_path):
-    curve = default_base_curve(1234.0)
+    curve = BaseLoadCurve(SHIPPED_CURVE.p_base * 1234.0 / 700.0)
     save_base_curve(curve, tmp_path / "c.txt")
     again = load_base_curve(tmp_path / "c.txt")
     assert np.array_equal(curve.p_base, again.p_base)
@@ -99,7 +85,7 @@ def test_curve_validation():
 # --- household sampling ------------------------------------------------------
 
 def test_zero_sigma_reproduces_curve():
-    curve = default_base_curve()
+    curve = SHIPPED_CURVE
     households = sample_household_loads(curve, CONSUMERS_57, sigma_fraction=0.0, seed=3)
     assert households.p.shape == (57, 96)
     for p in households.p:
@@ -109,7 +95,7 @@ def test_zero_sigma_reproduces_curve():
 @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
 def test_bad_sigma_rejected(sigma):
     with pytest.raises(ValueError, match="sigma_fraction"):
-        sample_household_loads(default_base_curve(), CONSUMERS_57, sigma_fraction=sigma)
+        sample_household_loads(SHIPPED_CURVE, CONSUMERS_57, sigma_fraction=sigma)
 
 
 def test_reactive_power_ratio():
@@ -122,18 +108,18 @@ def test_reactive_power_ratio():
 def test_household_mean_at_peak_slot():
     # statistical oracle: the sample mean over many draws approaches the
     # curve value within three standard errors
-    curve = default_base_curve()  # peak 2000 W
+    curve = SHIPPED_CURVE  # peak 700 W
     consumers = [(1, "a")] * 10_000
     households = sample_household_loads(curve, consumers, sigma_fraction=0.20, seed=11)
     peak_slot = int(np.argmax(curve.p_base))
     draws = households.p[:, peak_slot]
-    se = 0.20 * 2000.0 / math.sqrt(len(draws))
-    assert abs(draws.mean() - 2000.0) < 3 * se
+    se = 0.20 * 700.0 / math.sqrt(len(draws))
+    assert abs(draws.mean() - 700.0) < 3 * se
     assert np.all(draws >= 0)
 
 
 def test_household_sampling_deterministic():
-    curve = default_base_curve()
+    curve = SHIPPED_CURVE
     a = sample_household_loads(curve, CONSUMERS_57, seed=42)
     b = sample_household_loads(curve, CONSUMERS_57, seed=42)
     assert np.array_equal(a.p, b.p)
@@ -159,7 +145,7 @@ def reference_households(curve, consumers, sigma, leading, seed, n_buses):
 
 
 # zero-demand slots give p = 0, so a leading pf draws q = -0.0
-ZERO_NIGHT_CURVE = BaseLoadCurve(np.where(np.arange(96) < 8, 0.0, default_base_curve().p_base))
+ZERO_NIGHT_CURVE = BaseLoadCurve(np.where(np.arange(96) < 8, 0.0, SHIPPED_CURVE.p_base))
 
 
 @pytest.mark.parametrize("leading", [False, True])
@@ -188,7 +174,7 @@ def test_household_sampling_and_frame_match_per_consumer_loop(sigma, leading):
 
 def test_household_frame_needs_the_canonical_consumers():
     topo = load_topology(default_feeder_path())
-    curve = default_base_curve()
+    curve = SHIPPED_CURVE
     canonical = consumers_of(topo)
     for consumers in (canonical[:-1], canonical[3:] + canonical[:3], canonical + [(1, "a")]):
         households = sample_household_loads(curve, consumers, seed=1)

@@ -444,7 +444,7 @@ def test_array_checks_and_schedule_match_the_per_line_reference(seed):
             assert len(got) == len(want)
             for (rows, lo, hi), (ref_rows, ref_lo, ref_hi) in zip(got, want):
                 assert (lo, hi) == (ref_lo, ref_hi) and rows.tobytes() == ref_rows.tobytes()
-        assert list(topo.sweep_order) == ref_sweep_order(lines, n)
+        assert list(topo.sweep_order) == (ref_order + 1).tolist()
         text, _ = feeder_text(lines, rng=rng)
         assert loads_topology(text) == topo
         # each kind of fault alone, then several at once

@@ -23,6 +23,8 @@ from evfeeder.powerflow import (
 )
 from evfeeder.scenario import default_feeder_path
 
+from test_network import ref_sweep_order
+
 TANPHI = np.tan(np.arccos(0.91))
 
 
@@ -434,7 +436,8 @@ def walk_sweep(topology, s, max_iterations=100):
     level-scheduled batch must equal bit for bit. None when it collapses."""
     _, _, z = topology.line_arrays
     lines = topology.lines
-    ks = [topology.parent_line_index[b] for b in topology.sweep_order[1:]]
+    # the depth-first walk, whose reversed sums the level groups keep
+    ks = [topology.parent_line_index[b] for b in ref_sweep_order(lines, topology.n_buses)[1:]]
     walk = [(k, lines[k].from_bus - 1, lines[k].to_bus - 1) for k in ks]
     tol = DEFAULT_TOLERANCE_PU * topology.v_base
     v = np.tile(slack_voltages(topology), (topology.n_buses, 1))

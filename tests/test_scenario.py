@@ -217,6 +217,7 @@ def test_multi_trial_aggregates():
     agg = report.extra["aggregate"]
     per_trial = report.extra["per_trial"]
     assert len(per_trial) == 3
+    assert per_trial[0] == report.summary()  # the returned report is trial 0's
     losses = [t["total_loss_kwh"] for t in per_trial]
     assert agg["total_loss_kwh"]["mean"] == pytest.approx(np.mean(losses))
     assert agg["total_loss_kwh"]["std"] == pytest.approx(np.std(losses))

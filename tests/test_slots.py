@@ -18,7 +18,7 @@ def test_slot_of_parses_times():
 
 
 def test_slot_of_rejects_bad_input():
-    for bad in ("25:00", "12:07", "noon", "12", "-1:00"):
+    for bad in ("25:00", "12:07", "noon", "12", "-1:00", "24:15", "24:30", "24:45"):
         with pytest.raises(ValueError):
             slot_of(bad)
 
