@@ -6,12 +6,13 @@ curve with a standard deviation proportional to the curve value, clipped at
 zero. Reactive power follows from a fixed power factor. The draw is one
 (consumers, 96) array each of p and q, returned with the consumer list.
 
-EV fleet: either sampled (battery capacity uniform, arrival/departure/initial
-state of charge truncated normal, all parameters bounded) or loaded from a
-plain-text fleet file. A fleet is a set of columns with one entry per
-vehicle, checked as whole arrays. Charging always runs at a fixed rate and
-targets 95% state of charge, so the charge duration in slots is fully
-determined by the vehicle record.
+EV fleet: either sampled from the study's fixed distributions (battery
+capacity uniform on `CAPACITY_KWH`; arrival, departure and initial state of
+charge truncated normals, `ARRIVAL_H`, `DEPARTURE_H` and `INITIAL_SOC`) or
+loaded from a plain-text fleet file. A fleet is a set of columns with one
+entry per vehicle, checked as whole arrays. Charging always runs at a fixed
+rate and targets 95% state of charge, so the charge duration in slots is
+fully determined by the vehicle record.
 """
 
 from __future__ import annotations
@@ -193,25 +194,13 @@ class FleetSpec:
             raise ValueError(f"charge power {self.charge_power_w} W must be positive and finite")
 
 
-@dataclass(frozen=True)
-class EvDistributions:
-    """Sampling bounds and moments for fleet generation.
-
-    Capacity is uniform; arrival, departure and initial SOC are truncated
-    normals (resampled until inside the bounds). Arrival hours above 24 wrap
-    past midnight.
-    """
-
-    capacity_range_kwh: tuple[float, float] = (6.0, 30.0)
-    arrival_mean_h: float = 19.0
-    arrival_sd_h: float = 2.0
-    arrival_range_h: tuple[float, float] = (16.0, 25.0)
-    departure_mean_h: float = 7.0
-    departure_sd_h: float = 2.0
-    departure_range_h: tuple[float, float] = (5.0, 12.0)
-    soc_mean: float = 0.75
-    soc_sd: float = 0.25
-    soc_range: tuple[float, float] = (0.25, 0.95)
+# Fleet sampling: capacity uniform on (low, high) kWh; arrival and departure
+# hours (an arrival above 24 wraps past midnight) and initial SOC as
+# truncated_normal's (mean, sd, low, high).
+CAPACITY_KWH = (6.0, 30.0)
+ARRIVAL_H = (19.0, 2.0, 16.0, 25.0)
+DEPARTURE_H = (7.0, 2.0, 5.0, 12.0)
+INITIAL_SOC = (0.75, 0.25, 0.25, 0.95)
 
 
 def truncated_normal(rng, mean: float, sd: float, low: float, high: float, size: int) -> np.ndarray:
@@ -235,22 +224,18 @@ def sample_fleet(
     """Assign EVs to floor(penetration * len(consumers)) consumers.
 
     Owners are chosen uniformly without replacement and kept in consumer
-    order; per-vehicle parameters follow `EvDistributions`. Fully determined by the seed.
+    order; per-vehicle parameters follow CAPACITY_KWH, ARRIVAL_H, DEPARTURE_H
+    and INITIAL_SOC. Fully determined by the seed.
     """
     if not 0 <= penetration <= 1:
         raise ValueError("penetration must be in [0, 1]")
-    dist = EvDistributions()
     rng = np.random.default_rng(seed)
     count = int(penetration * len(consumers))
     chosen = np.sort(rng.choice(len(consumers), size=count, replace=False))
-    capacity = rng.uniform(*dist.capacity_range_kwh, size=count)
-    arrival_h = truncated_normal(
-        rng, dist.arrival_mean_h, dist.arrival_sd_h, *dist.arrival_range_h, size=count
-    )
-    departure_h = truncated_normal(
-        rng, dist.departure_mean_h, dist.departure_sd_h, *dist.departure_range_h, size=count
-    )
-    soc = truncated_normal(rng, dist.soc_mean, dist.soc_sd, *dist.soc_range, size=count)
+    capacity = rng.uniform(*CAPACITY_KWH, size=count)
+    arrival_h = truncated_normal(rng, *ARRIVAL_H, size=count)
+    departure_h = truncated_normal(rng, *DEPARTURE_H, size=count)
+    soc = truncated_normal(rng, *INITIAL_SOC, size=count)
     # the owners' columns, gathered and mapped in C, not in a Python loop
     bus, phase = list(zip(*map(consumers.__getitem__, chosen.tolist()))) or [(), ()]
     try:
@@ -312,7 +297,7 @@ def load_fleet(
         if fault is not None:
             where, exc = f"{path}:{linenos[fault[0]]}", fault[1]
         raise FleetFormatError(f"{where}: {exc}") from None
-    lo, hi = EvDistributions().soc_range
+    lo, hi = INITIAL_SOC[2:]
     out_of_range = [
         f"line {lineno}: initial SOC {soc:.0%}"
         for lineno, soc in zip(linenos, fleet.initial_soc.tolist())

@@ -8,8 +8,9 @@ large one, whose solver has no bus-slots to spare for waiting rows. A run so
 holds no complex state per trial. :func:`reduce_horizon` then gathers one
 strategy's 96 slots of voltages and currents through its row index, locates
 the extremes and sums the energies in slot order. A collapsed row keeps
-where it fell, which the solver located, and ``powerflow.check_collapse``
-reads it as it does a ``HorizonState``'s. Losses are resistive I^2 R over
+where it fell, which the solver located: ``ReducedRows`` and
+``powerflow.HorizonState`` are both ``powerflow.SlotRecord``s, whose outcome
+arrays ``powerflow.check_collapse`` reads. Losses are resistive I^2 R over
 every conductor including the neutral, integrated over the day. Voltages
 are reported per unit as |v_phase - v_neutral| / v_base for the phases and
 |v_neutral| / v_base for the neutral wire.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import PHASES, NetworkTopology
-from .powerflow import phase_to_neutral, slot_sums
+from .powerflow import SlotRecord, phase_to_neutral, slot_sums
 from .slots import SLOT_HOURS, SLOTS_PER_DAY
 
 
@@ -79,16 +80,15 @@ SolvedRow = namedtuple("SolvedRow", "iterations max_dv converged")
 
 
 @dataclass
-class ReducedRows:
-    """The report quantities of each row of a solved batch, row-major.
+class ReducedRows(SlotRecord):
+    """The report quantities of each row of a solved batch, row-major, beside
+    each row's SlotRecord outcome.
 
     voltage_pu  -- (rows, n_buses, 4) per-unit magnitudes, phases then neutral
     current_a   -- (rows, n_lines, 4) line current magnitudes, amperes
     loss_kw     -- (rows,) series losses
     slack_w     -- (rows,) active power supplied at the slack bus
     load_w      -- (rows,) active power delivered to the loads
-    iterations, max_dv, converged, collapsed, collapse_at, collapse_v
-                -- (rows,) as in HorizonState
 
     ``rows[t]`` is row t's SolvedRow, how the solver fared on it;
     ``powerflow.check_collapse(rows, t, topology)`` raises where it fell.
@@ -99,30 +99,20 @@ class ReducedRows:
     loss_kw: np.ndarray
     slack_w: np.ndarray
     load_w: np.ndarray
-    iterations: np.ndarray
-    max_dv: np.ndarray
-    converged: np.ndarray
-    collapsed: np.ndarray
-    collapse_at: np.ndarray
-    collapse_v: np.ndarray
 
     @classmethod
     def zeros(cls, n_rows: int, topology: NetworkTopology) -> "ReducedRows":
         n, m = topology.n_buses, topology.to_bus.size
-        rows = cls(np.zeros((n_rows, n, 4)), np.zeros((n_rows, m, 4)), *(
-            np.zeros(n_rows, d) for d in (float, float, float, int, float, bool, bool, int, float)))
-        rows.max_dv[:] = np.inf
-        return rows
-
-    def __len__(self) -> int:
-        return len(self.iterations)
+        return super().zeros(n_rows, topology, voltage_pu=np.zeros((n_rows, n, 4)),
+                             current_a=np.zeros((n_rows, m, 4)), loss_kw=np.zeros(n_rows),
+                             slack_w=np.zeros(n_rows), load_w=np.zeros(n_rows))
 
     def __getitem__(self, t: int) -> SolvedRow:
         return SolvedRow(int(self.iterations[t]), float(self.max_dv[t]), bool(self.converged[t]))
 
 
 def row_sink(topology: NetworkTopology) -> tuple:
-    """The solver sink ``(make, reduce)`` that reduces slots that left the solver.
+    """The solver sink ``(ReducedRows, reduce)`` that reduces slots that left the solver.
 
     ``reduce`` replaces the slots' v, i_line and i_load by their ReducedRows
     quantities, and drops a collapsed slot's v, whose collapse point the
@@ -158,7 +148,7 @@ def row_sink(topology: NetworkTopology) -> tuple:
                       loss_kw=loss_kw, load_w=slot_sums(load_va).real)
         return values
 
-    return lambda n_rows: ReducedRows.zeros(n_rows, topology), reduce
+    return ReducedRows, reduce
 
 
 def reduce_horizon(scenario: str, rows: ReducedRows, slots: np.ndarray) -> ScenarioReport:

@@ -9,13 +9,14 @@ File grammar (one statement per line, ``#`` starts a comment)::
 
     slack_voltage <volts>              # required, phase-to-neutral magnitude
     v_base <volts>                     # optional, defaults to slack_voltage
-    transformer_reactance <ohms>       # optional, recorded but not solved
+    transformer_reactance <ohms>       # optional, checked finite and ignored
     neutral_scale <factor>             # optional, default 1.0 (z_n = z_phase)
     line <from> <to> <r_ph> <x_ph> [<r_n> <x_n>]
 
 Per-line neutral columns override ``neutral_scale``. The upstream transformer
-reactance is recorded only: the slack voltage is fixed at bus 1, so any
-series impedance above it is unobservable downstream.
+reactance is accepted and dropped: the slack voltage is fixed at bus 1, so
+any series impedance above it is unobservable downstream, and a topology
+does not hold it.
 
 The file is read in one pass, and its first malformed row raises at once.
 `NetworkTopology` then checks the lines: of several faults it names the
@@ -84,10 +85,8 @@ class NetworkTopology:
     z_neutral: np.ndarray
     slack_voltage_magnitude: float = 220.0
     v_base: float = 220.0
-    transformer_reactance: float = 0.0
 
-    def __init__(self, lines=(), slack_voltage_magnitude=220.0, v_base=220.0,
-                 transformer_reactance=0.0):
+    def __init__(self, lines=(), slack_voltage_magnitude=220.0, v_base=220.0):
         frm, to, zp, zn = list(zip(*lines)) or [()] * 4
         # a bus number past 64 bits makes an object column; it fails a check
         frm, to = (np.array(c) if len(c) else np.zeros(0, dtype=int) for c in (frm, to))
@@ -95,8 +94,7 @@ class NetworkTopology:
         for arr in (frm, to, zp, zn):
             arr.flags.writeable = False
         vars(self).update(from_bus=frm, to_bus=to, z_phase=zp, z_neutral=zn, v_base=v_base,
-                          slack_voltage_magnitude=slack_voltage_magnitude,
-                          transformer_reactance=transformer_reactance)
+                          slack_voltage_magnitude=slack_voltage_magnitude)
         if not (0 < slack_voltage_magnitude < math.inf and 0 < v_base < math.inf):
             raise TopologyError("slack voltage and v_base must be positive and finite")
         n, m = self.n_buses, frm.size
@@ -284,7 +282,6 @@ def _parse_feeder_text(text: str, source: str) -> NetworkTopology:
             [(f, t, zp, scale * zp if zn is None else zn) for f, t, zp, zn in rows],
             slack_voltage_magnitude=hdr["slack_voltage"],
             v_base=hdr["slack_voltage"] if hdr["v_base"] is None else hdr["v_base"],
-            transformer_reactance=hdr["transformer_reactance"],
         )
     except TopologyError as exc:  # at a line, else at a header row whose value is not positive
         rows_at = [linenos[exc.line]] if exc.line is not None else [
@@ -305,11 +302,7 @@ def load_topology(feeder_file: str | Path) -> NetworkTopology:
 
 def format_topology(topology: NetworkTopology) -> str:
     """Serialize a topology; load_topology(format_topology(t)) == t."""
-    out = [
-        f"slack_voltage {topology.slack_voltage_magnitude!r}",
-        f"v_base {topology.v_base!r}",
-        f"transformer_reactance {topology.transformer_reactance!r}",
-    ]
+    out = [f"slack_voltage {topology.slack_voltage_magnitude!r}", f"v_base {topology.v_base!r}"]
     for ln in topology.lines:
         out.append(
             f"line {ln.from_bus} {ln.to_bus} "

@@ -15,11 +15,12 @@ on (bus, slot, wire) arrays, and none of its arithmetic walks a short strided
 last axis: numpy would run an inner loop of 3 or 4 elements per (bus, slot),
 whose overhead exceeds the work (:func:`phase_to_neutral`, :func:`_sweep_step`).
 Leaving slots pass, in bus and line order, through a sink into their
-batches' states: slot-major in a :class:`HorizonState`, or, in a run,
-reduced to float report rows (``metrics.row_sink``). They wait, as complex
-columns, for one sink call when the oldest batch is yielded or when they
-would exceed the bus-slots the set leaves unused: a few calls a trial on a
-small feeder, one per iteration on a large one, whose set uses them all.
+batches' states, each a :class:`SlotRecord`: complex and slot-major in a
+:class:`HorizonState`, or, in a run, float report rows
+(``metrics.row_sink``). They wait, as complex columns, for one sink call
+when the oldest batch is yielded or when they would exceed the bus-slots
+the set leaves unused: a few calls a trial on a small feeder, one per
+iteration on a large one, whose set uses them all.
 Each batch is yielded once complete. A slot that falls under the floor is
 located as it leaves (:func:`collapse_points`), where :func:`check_collapse`
 reads it. :func:`residuals` checks KCL and slack power balance per slot of
@@ -94,30 +95,19 @@ def slack_voltages(topology: NetworkTopology) -> np.ndarray:
 
 
 @dataclass
-class HorizonState:
-    """Solved states of a batch of slots, stored slot-major by the bus-major loop.
+class SlotRecord:
+    """How the solver fared on each slot of a batch, as (n_slots,) arrays.
 
-    v          -- complex volts, shape (n_slots, n_buses, 4), wire order a, b, c, n
-    i_line     -- complex amperes, shape (n_slots, n_lines, 4), positive
-                  parent->child, rows follow topology.lines
-    i_load     -- complex amperes, shape (n_slots, n_buses, 3), load current per phase
-    iterations -- (n_slots,) iterations run per slot
-    max_dv     -- (n_slots,) last largest voltage change per slot, volts
-    converged  -- (n_slots,) bool
-    collapsed  -- (n_slots,) bool; the slot fell under the collapse floor at
-                  the start of iteration ``iterations``, and ``v`` holds the
-                  voltages that did (its currents and max_dv are not solved)
-    collapse_at, collapse_v -- (n_slots,) where a collapsed slot fell (see
-                  collapse_points) and its |v_x - v_n| there, volts
+    iterations -- iterations run per slot
+    max_dv     -- last largest voltage change per slot, volts; inf if unsolved
+    converged, collapsed -- bool; a collapsed slot fell under the floor at the
+                  start of iteration ``iterations``, and is not solved
+    collapse_at, collapse_v -- where it fell (see collapse_points) and its
+                  |v_x - v_n| there, volts
 
-    ``state[t]`` is slot t's state, a HorizonState of views of these arrays
-    without the slot axis and of Python numbers; iterating yields every
-    slot's in turn.
+    A subclass adds each slot's solved values, slot axis first.
     """
 
-    v: np.ndarray
-    i_line: np.ndarray
-    i_load: np.ndarray
     iterations: np.ndarray
     max_dv: np.ndarray
     converged: np.ndarray
@@ -126,22 +116,40 @@ class HorizonState:
     collapse_v: np.ndarray
 
     @classmethod
-    def zeros(cls, n_slots: int, topology: NetworkTopology) -> "HorizonState":
-        n, m = topology.n_buses, topology.to_bus.size
-        return cls(
-            v=np.zeros((n_slots, n, 4), dtype=complex),
-            i_line=np.zeros((n_slots, m, 4), dtype=complex),
-            i_load=np.zeros((n_slots, n, 3), dtype=complex),
-            iterations=np.zeros(n_slots, dtype=int),
-            max_dv=np.full(n_slots, np.inf),
-            converged=np.zeros(n_slots, dtype=bool),
-            collapsed=np.zeros(n_slots, dtype=bool),
-            collapse_at=np.zeros(n_slots, dtype=int),
-            collapse_v=np.zeros(n_slots),
-        )
+    def zeros(cls, n_slots: int, topology: NetworkTopology, **solved: np.ndarray):
+        """n_slots unsolved slots, with the subclass's `solved` arrays."""
+        record = cls(*(np.zeros(n_slots, d) for d in (int, float, bool, bool, int, float)), **solved)
+        record.max_dv[:] = np.inf
+        return record
 
     def __len__(self) -> int:
         return len(self.iterations)
+
+
+@dataclass
+class HorizonState(SlotRecord):
+    """Solved states of a batch of slots, stored slot-major by the bus-major loop.
+
+    v      -- complex volts, (n_slots, n_buses, 4), wire order a, b, c, n; a
+              collapsed slot's are those that fell under the floor
+    i_line -- complex amperes, (n_slots, n_lines, 4), positive parent->child,
+              rows follow topology.lines
+    i_load -- complex amperes, (n_slots, n_buses, 3), load current per phase
+
+    ``state[t]`` is slot t's state, a HorizonState of views of these arrays
+    without the slot axis and of Python numbers; iterating yields each in turn.
+    """
+
+    v: np.ndarray
+    i_line: np.ndarray
+    i_load: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_slots: int, topology: NetworkTopology) -> "HorizonState":
+        n, m = topology.n_buses, topology.to_bus.size
+        return super().zeros(n_slots, topology, v=np.zeros((n_slots, n, 4), complex),
+                             i_line=np.zeros((n_slots, m, 4), complex),
+                             i_load=np.zeros((n_slots, n, 3), complex))
 
     def __getitem__(self, t: int) -> "HorizonState":
         return HorizonState(*(f[t] if f.ndim > 1 else f[t].item() for f in vars(self).values()))
@@ -175,9 +183,9 @@ def collapse_points(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, mag[np.arange(len(v)), at]
 
 
-def check_collapse(state, t: int, topology: NetworkTopology) -> None:
-    """Raise InfeasibleInjectionError naming where slot t of a HorizonState or
-    a metrics.ReducedRows fell under the collapse floor, if it did."""
+def check_collapse(state: SlotRecord, t: int, topology: NetworkTopology) -> None:
+    """Raise InfeasibleInjectionError naming where slot t of any SlotRecord
+    fell under the collapse floor, if it did."""
     if state.collapsed[t]:
         b, p = divmod(int(state.collapse_at[t]), 3)
         floor = VOLTAGE_FLOOR_PU * topology.v_base
@@ -271,9 +279,10 @@ def _fixed_point(
     CHUNK_BUS_SLOTS bus-slots, so that small feeders solve several batches
     ahead and large ones keep to two. Rows are buses and lines as numbered,
     or with `order` the bus in each row, and then row r of i_line is the
-    line feeding the bus in row r + 1. A `sink` ``(make, reduce)`` makes each
-    batch's state and turns leaving slots, in bus and line order, into what
-    is stored per slot; by default HorizonStates. They wait for one
+    line feeding the bus in row r + 1. A `sink` ``(record, reduce)`` names
+    the SlotRecord class of each batch's state, made by ``record.zeros``, and
+    turns leaving slots, in bus and line order, into what it stores per slot;
+    by default HorizonStates. They wait for one
     ``reduce`` until the oldest batch is yielded or they exceed the slots
     the set cannot use, ``min(cap - min(cap, width), width)``: about a trial
     on a small feeder; none on a large one, which so stores each iteration's
@@ -294,7 +303,7 @@ def _fixed_point(
         line_rows = bus_rows[topology.line_arrays[1]] - 1
     rows = {"v": bus_rows, "i_line": line_rows, "i_load": bus_rows}
     cap = max(1, CHUNK_BUS_SLOTS // n)
-    make, reduce = sink or (lambda k: HorizonState.zeros(k, topology), lambda values: values)
+    record, reduce = sink or (HorizonState, lambda values: values)
     batches = iter(batches)
     # (state, first slot id, id past its last) per batch pulled and not yet
     # yielded, slots numbered in feed order; `feeding` holds the rows of the
@@ -314,7 +323,8 @@ def _fixed_point(
                 if full or (batch := next(batches, None)) is None:
                     break
                 feeding, batch = _as_injection_array(topology, batch, batched=True), None
-                flight.append((make(len(feeding)), next_id + k, next_id + k + len(feeding)))
+                flight.append((record.zeros(len(feeding), topology), next_id + k,
+                               next_id + k + len(feeding)))
                 width = max(width, len(feeding))
                 continue
             new.append(feeding[:room])

@@ -48,7 +48,7 @@ from .charging import ChargeSchedule, ZonePlan
 from .loads import FleetSpec, Households
 from .metrics import ReducedRows, ScenarioReport
 from .network import PHASES, WIRES, NetworkTopology, load_topology, read_text, statements
-from .powerflow import HorizonState, InfeasibleInjectionError
+from .powerflow import InfeasibleInjectionError, SlotRecord
 from .slots import SLOTS_PER_DAY, slot_of
 
 __version__ = "0.1.0"
@@ -205,9 +205,9 @@ def build_schedule(
 
 def solve_horizon(
     topology: NetworkTopology,
-    stream: Iterator[ReducedRows | HorizonState],
+    stream: Iterator[SlotRecord],
     days: dict[str, np.ndarray],
-) -> ReducedRows | HorizonState:
+) -> SlotRecord:
     """Take a trial's solved (n_rows, n_buses, 3) demand rows, the next state of `stream`.
 
     ``days`` maps each strategy to the (96,) index of its slots' rows; it is
@@ -234,7 +234,7 @@ def solve_horizon(
 
 
 class _Inputs:
-    """Shared, immutable pieces loaded once per run."""
+    """Shared, immutable pieces loaded once per run; each file only by a run that reads it."""
 
     def __init__(self, cfg: ScenarioConfig, strategies: tuple[str, ...] = STRATEGIES):
         self.cfg = cfg
@@ -242,20 +242,27 @@ class _Inputs:
         self.topology = load_topology(cfg.feeder)
         self.curve = loads.load_base_curve(cfg.curve)
         self.consumers = consumers_of(self.topology)
-        self.zone_plan = charging.load_zone_plan(cfg.zones) if cfg.zones else None
+        self.zone_plan = None
+        if "zoned" in strategies:
+            self.zone_plan = plan = charging.load_zone_plan(cfg.zones)
+            row = {zone: k for k, zone in enumerate(plan.start_times)}  # one statement per zone
+            self._on_feeder(cfg.zones, list(plan.zones), [row[z] for z in plan.zones.values()], "bus")
         self.needs_fleet = any(s != "baseline" for s in strategies)
         self.file_fleet = self.file_schedules = None
         if self.needs_fleet and cfg.fleet_file is not None:
             self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
-            n, bus = self.topology.n_buses, self.file_fleet.bus
-            outside = np.flatnonzero((bus < 1) | (bus > n))
-            if outside.size:  # each statement of a loaded fleet file is one vehicle
-                lineno, _ = list(statements(read_text(cfg.fleet_file)))[outside[0]]
-                raise ValueError(
-                    f"{cfg.fleet_file}:{lineno}: vehicle at bus {bus[outside[0]]} is outside the "
-                    f"feeder's {n} buses"
-                )
+            bus = self.file_fleet.bus.tolist()  # each statement of a fleet file is one vehicle
+            self._on_feeder(cfg.fleet_file, bus, range(len(bus)), "vehicle at bus")
             self.file_schedules = self.schedules_for_trial(None)  # the same every trial
+
+    def _on_feeder(self, path: Path, buses: list[int], statement_of, what: str) -> None:
+        """Raise at the `path:line` of the first bus off the feeder, buses[k] from statement_of[k]."""
+        n = self.topology.n_buses
+        outside = [k for k, bus in enumerate(buses) if not 1 <= bus <= n]
+        if outside:
+            lineno, _ = list(statements(read_text(path)))[statement_of[outside[0]]]
+            raise ValueError(
+                f"{path}:{lineno}: {what} {buses[outside[0]]} is outside the feeder's {n} buses")
 
     def fleet_for_trial(self, fleet_seed: int) -> FleetSpec | None:
         if self.file_fleet is not None or not self.needs_fleet:

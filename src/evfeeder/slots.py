@@ -6,6 +6,8 @@ The horizon is a single day of 96 slots of 15 minutes; slot 0 starts at
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 SLOTS_PER_DAY = 96
@@ -13,15 +15,14 @@ SLOT_HOURS = 0.25
 
 
 def slot_of(text: str) -> int:
-    """Parse "HH:MM" into a slot index. "24:00" wraps to slot 0.
+    """Parse "H:MM" or "HH:MM", ASCII digits only, into a slot index. "24:00" wraps to slot 0.
 
     Minutes must be a multiple of 15, and no other time may start with 24.
     """
-    try:
-        hh, mm = text.strip().split(":")
-        hours, minutes = int(hh), int(mm)
-    except ValueError as exc:
-        raise ValueError(f"bad time {text!r}, expected HH:MM") from exc
+    match = re.fullmatch(r"([0-9]{1,2}):([0-9]{2})", text.strip())
+    if match is None:
+        raise ValueError(f"bad time {text!r}, expected HH:MM")
+    hours, minutes = int(match[1]), int(match[2])
     if not ((0 <= hours < 24 and 0 <= minutes < 60) or (hours, minutes) == (24, 0)):
         raise ValueError(f"bad time {text!r}")
     if minutes % 15 != 0:

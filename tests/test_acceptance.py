@@ -13,7 +13,10 @@ import pytest
 
 from evfeeder.charging import ev_power_frame
 from evfeeder.loads import (
-    EvDistributions,
+    ARRIVAL_H,
+    CAPACITY_KWH,
+    DEPARTURE_H,
+    INITIAL_SOC,
     FleetDataWarning,
     charge_duration_slots,
     load_fleet,
@@ -209,24 +212,13 @@ def test_criterion_7_monte_carlo_sanity():
     """
     rng = np.random.default_rng(99)
     n = 100_000
-    dist = EvDistributions()
     results = []
 
-    caps = rng.uniform(*dist.capacity_range_kwh, n)
-    results.append(("capacity", caps, dist.capacity_range_kwh, 18.0))
-    arr = truncated_normal(rng, dist.arrival_mean_h, dist.arrival_sd_h,
-                           *dist.arrival_range_h, size=n)
-    results.append(("arrival", arr, dist.arrival_range_h,
-                    truncated_normal_mean(dist.arrival_mean_h, dist.arrival_sd_h,
-                                          *dist.arrival_range_h)))
-    dep = truncated_normal(rng, dist.departure_mean_h, dist.departure_sd_h,
-                           *dist.departure_range_h, size=n)
-    results.append(("departure", dep, dist.departure_range_h,
-                    truncated_normal_mean(dist.departure_mean_h, dist.departure_sd_h,
-                                          *dist.departure_range_h)))
-    soc = truncated_normal(rng, dist.soc_mean, dist.soc_sd, *dist.soc_range, size=n)
-    results.append(("soc", soc, dist.soc_range,
-                    truncated_normal_mean(dist.soc_mean, dist.soc_sd, *dist.soc_range)))
+    caps = rng.uniform(*CAPACITY_KWH, n)
+    results.append(("capacity", caps, CAPACITY_KWH, 18.0))
+    for name, params in (("arrival", ARRIVAL_H), ("departure", DEPARTURE_H), ("soc", INITIAL_SOC)):
+        draws = truncated_normal(rng, *params, size=n)
+        results.append((name, draws, params[2:], truncated_normal_mean(*params)))
 
     ok = True
     details = []

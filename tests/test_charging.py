@@ -19,7 +19,10 @@ from evfeeder.charging import (
     schedule_zoned,
 )
 from evfeeder.loads import (
-    EvDistributions,
+    ARRIVAL_H,
+    CAPACITY_KWH,
+    DEPARTURE_H,
+    INITIAL_SOC,
     FleetDataWarning,
     FleetSpec,
     charge_duration_slots,
@@ -187,6 +190,20 @@ def test_zone_plan_rejects_double_assignment(tmp_path):
         load_zone_plan(tmp_path / "z.txt")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("zone 1 23:00 1,2\nzone 2 24:00\n", ":2: expected `zone <n> <HH:MM> <buses>`"),
+    ("zone one 23:00 1,2\n", ":1: invalid literal for int() with base 10: 'one'"),
+    ("zone 1 23:00 1,2\nzone 1 24:00 3\n", ":2: zone 1 defined twice"),
+    ("zone 1 1_0:00 1,2\n", ":1: bad time '1_0:00', expected HH:MM"),
+], ids=["short-row", "zone-not-integer", "zone-twice", "bad-time"])
+def test_zone_plan_fault_names_its_line(tmp_path, text, message):
+    path = tmp_path / "z.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_zone_plan(path)
+    assert str(err.value) == f"{path}{message}"
+
+
 # --- semi-smart --------------------------------------------------------------
 
 def test_semi_smart_windows_end_at_departure(fleet34):
@@ -330,18 +347,16 @@ class RefEv:
     initial_soc: float
 
 
-def ref_sample_fleet(consumers, penetration, seed, dist=EvDistributions()):
+def ref_sample_fleet(consumers, penetration, seed):
     rng = np.random.default_rng(seed)
     count = int(penetration * len(consumers))
     if count == 0:
         return []
     chosen = sorted(rng.choice(len(consumers), size=count, replace=False).tolist())
-    capacity = rng.uniform(*dist.capacity_range_kwh, size=count)
-    arrival_h = truncated_normal(rng, dist.arrival_mean_h, dist.arrival_sd_h,
-                                 *dist.arrival_range_h, size=count)
-    departure_h = truncated_normal(rng, dist.departure_mean_h, dist.departure_sd_h,
-                                   *dist.departure_range_h, size=count)
-    soc = truncated_normal(rng, dist.soc_mean, dist.soc_sd, *dist.soc_range, size=count)
+    capacity = rng.uniform(*CAPACITY_KWH, size=count)
+    arrival_h = truncated_normal(rng, *ARRIVAL_H, size=count)
+    departure_h = truncated_normal(rng, *DEPARTURE_H, size=count)
+    soc = truncated_normal(rng, *INITIAL_SOC, size=count)
     return [
         RefEv(*consumers[ci], float(capacity[i]), int(float(arrival_h[i]) * 4 + 0.5) % 96,
               int(float(departure_h[i]) * 4 + 0.5) % 96, float(soc[i]))

@@ -8,7 +8,7 @@ import pytest
 from evfeeder import scenario
 from evfeeder.cli import main
 from evfeeder.loads import FleetDataWarning
-from evfeeder.scenario import default_fleet_path
+from evfeeder.scenario import default_fleet_path, default_zones_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
 
@@ -159,9 +159,11 @@ _REPEAT_THEN_FAULT_FLEET = (
     ("--fleet", _REPEAT_THEN_FAULT_FLEET, ":6", "two vehicles at bus 2 phase b"),
     ("--fleet", "# bus phase capacity_kwh arrival departure soc\n2 a 20 17:00 05:00 50\n"
      "99 b 20 18:00 07:00 50\n", ":3", "vehicle at bus 99 is outside the feeder's 19 buses"),
+    ("--fleet", "# bus phase capacity_kwh arrival departure soc\n2 a 20 17:00 05:00 50\n"
+     "3 b 20 1_0:00 07:00 50\n", ":3", "bad time '1_0:00', expected HH:MM"),
 ], ids=["two-parents", "duplicate-line", "line-count", "header-extra-value", "header-junk",
         "v-base-negative", "v-base-zero", "curve-count", "curve-negative", "fleet-repeat",
-        "fleet-outside-feeder"])
+        "fleet-outside-feeder", "fleet-bad-time"])
 def test_faulty_input_file_is_named(tmp_path, capsys, option, text, where, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -180,7 +182,8 @@ def test_faulty_input_file_is_named(tmp_path, capsys, option, text, where, messa
 def test_input_file_that_is_not_utf8_is_named(tmp_path, capsys, option, data, where):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
-    rc = main(["run", "--strategy", "uncontrolled", option, str(path)])
+    strategy = "zoned" if option == "--zones" else "uncontrolled"  # only a zoned run reads zones
+    rc = main(["run", "--strategy", strategy, option, str(path)])
     assert rc == 2
     message = "byte 0xff is not UTF-8 (invalid start byte)"
     assert capsys.readouterr().err.splitlines() == [f"error: {path}{where}: {message}"]
@@ -201,6 +204,27 @@ def test_infeasible_validate_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: valley snapshot, slot 0: |v_")
+
+
+def test_zone_plan_is_read_only_by_zoned_runs(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["run", "--strategy", "uncontrolled", "--zones", missing]) == 0
+    capsys.readouterr()
+    assert main(["run", "--strategy", "zoned", "--zones", missing]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("old, new, where, bus", [
+    ("17,18,19", "17,18,91", ":3", 91),  # a typo for bus 19
+    ("7,8,9", "0,7,8,9", ":5", 0),
+], ids=["typo", "bus-zero"])
+def test_zone_plan_bus_outside_feeder_is_named(tmp_path, capsys, old, new, where, bus):
+    path = tmp_path / "zones.txt"
+    path.write_text(default_zones_path().read_text().replace(old, new))
+    for command in (["sweep"], ["run", "--strategy", "zoned"]):
+        assert main([*command, "--zones", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}{where}: bus {bus} is outside the feeder's 19 buses\n")
 
 
 def test_fleet_outside_feeder_exits_cleanly(tmp_path, capsys):
@@ -278,6 +302,9 @@ def test_bad_timer_start_exits_cleanly(capsys):
     # not 00:30: 24:00 is the only time past 23:45
     assert main(["run", "--strategy", "timer", "--timer-start", "24:30"]) == 2
     assert capsys.readouterr().err == "error: bad time '24:30'\n"
+    # not 10:00: each half is digits only
+    assert main(["run", "--strategy", "timer", "--timer-start", "1_0:00"]) == 2
+    assert capsys.readouterr().err == "error: bad time '1_0:00', expected HH:MM\n"
 
 
 def test_warnings_print_as_one_line(capsys):

@@ -8,7 +8,6 @@ import pytest
 from evfeeder import loads
 from evfeeder.loads import (
     BaseLoadCurve,
-    EvDistributions,
     FleetDataWarning,
     FleetFormatError,
     FleetSpec,
@@ -80,6 +79,14 @@ def test_curve_validation():
         values[5] = bad
         with pytest.raises(ValueError, match="finite"):
             BaseLoadCurve(values)
+
+
+def test_non_numeric_curve_value_names_its_line(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("# watts\n" + "500.0\n" * 10 + "lots\n" + "500.0\n" * 85)
+    with pytest.raises(ValueError) as err:
+        load_base_curve(path)
+    assert str(err.value) == f"{path}:12: bad curve value 'lots'"
 
 
 # --- household sampling ------------------------------------------------------
@@ -198,8 +205,7 @@ def test_sampled_capacity_moments():
     rng = np.random.default_rng(2)
     n = 100_000
     caps = rng.uniform(6.0, 30.0, n)  # oracle draw of the same distribution
-    dist = EvDistributions()
-    assert dist.capacity_range_kwh == (6.0, 30.0)
+    assert loads.CAPACITY_KWH == (6.0, 30.0)
     se = 6.93 / math.sqrt(n)
     assert abs(caps.mean() - 18.0) < 3 * se
     # and bounds hold through the public API
@@ -226,7 +232,8 @@ def test_truncated_normal_bounds_and_mean():
 
 
 def test_sampled_fleet_fields_within_bounds_many_seeds():
-    dist = EvDistributions()
+    assert (loads.ARRIVAL_H, loads.DEPARTURE_H, loads.INITIAL_SOC) == (
+        (19.0, 2.0, 16.0, 25.0), (7.0, 2.0, 5.0, 12.0), (0.75, 0.25, 0.25, 0.95))
     for seed in range(20):
         fleet = sample_fleet(CONSUMERS_57, penetration=0.6, seed=seed)
         assert fleet.bus.size == 34

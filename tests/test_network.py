@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -32,7 +33,6 @@ def test_shipped_feeder_shape(feeder19):
     assert len(feeder19.lines) == 18
     assert feeder19.slack_voltage_magnitude == 220.0
     assert feeder19.v_base == 220.0
-    assert feeder19.transformer_reactance == 0.0654
 
 
 def test_shipped_feeder_first_line_impedance(feeder19):
@@ -185,6 +185,12 @@ def test_malformed_row_reports_line_number():
         text = f"slack_voltage 220\n{header}\nline 1 2 0.1 0.0\n"
         with pytest.raises(FeederFormatError, match=rf"^<string>:2: malformed row '{header}'$"):
             loads_topology(text)
+
+
+@pytest.mark.parametrize("row", ["line 1 2 0.1", "line 1 2 0.1 0.0 0.2"])
+def test_line_row_takes_four_or_six_values(row):
+    with pytest.raises(FeederFormatError, match=rf"^<string>:2: malformed row '{re.escape(row)}'$"):
+        loads_topology(f"slack_voltage 220\n{row}\n")
 
 
 def test_unknown_keyword_rejected():

@@ -461,7 +461,8 @@ def walk_sweep(topology, s, max_iterations=100):
         v = v_new
         if dv < tol:
             break
-    return HorizonState(v, i_line, i_load, iterations, dv, dv < tol, False, 0, 0.0)
+    return HorizonState(v=v, i_line=i_line, i_load=i_load, iterations=iterations, max_dv=dv,
+                        converged=dv < tol, collapsed=False, collapse_at=0, collapse_v=0.0)
 
 
 def assert_same_state(got, want):
@@ -709,6 +710,17 @@ def test_batch_rejects_bad_shapes(feeder19):
         solve_batch(feeder19, np.zeros((19, 3)))
     with pytest.raises(ValueError, match=r"shape \(19, 3\)"):
         solve_sweep(feeder19, np.zeros((2, 19, 3)))
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, -math.inf)])
+def test_every_solver_rejects_non_finite_injections(feeder19, bad):
+    s = np.zeros((19, 3), dtype=complex)
+    s[4, 1] = bad
+    solved = solve_batch(feeder19, np.zeros((1, 19, 3)))
+    for call in (lambda: solve_batch(feeder19, s[None]), lambda: solve_sweep(feeder19, s),
+                 lambda: solve_direct(feeder19, s), lambda: residuals(solved, feeder19, s[None])):
+        with pytest.raises(ValueError, match=r"^injections must be finite$"):
+            call()
 
 
 # --- properties on random radial feeders ----------------------------------

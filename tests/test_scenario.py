@@ -107,6 +107,16 @@ def test_baseline_schedule_is_none():
     assert build_schedule("baseline", fleet) is None
 
 
+def test_build_schedule_rejects_unknown_strategy_and_zoned_without_plan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FleetDataWarning)
+        fleet = load_fleet(default_fleet_path())
+    with pytest.raises(ValueError, match=r"^unknown strategy 'smart'$"):
+        build_schedule("smart", fleet)
+    with pytest.raises(ValueError, match=r"^zoned strategy needs a zone plan$"):
+        build_schedule("zoned", fleet)
+
+
 def test_semi_smart_windows_end_at_departure_in_run():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FleetDataWarning)

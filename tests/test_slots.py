@@ -15,10 +15,12 @@ def test_slot_of_parses_times():
     assert slot_of("05:30") == 22
     assert slot_of("23:45") == 95
     assert slot_of("24:00") == 0  # wraps
+    assert slot_of("7:00") == 28  # one hour digit
 
 
 def test_slot_of_rejects_bad_input():
-    for bad in ("25:00", "12:07", "noon", "12", "-1:00", "24:15", "24:30", "24:45"):
+    for bad in ("25:00", "12:07", "noon", "12", "-1:00", "24:15", "24:30", "24:45",
+                "1_0:00", "+1:00", "1:0", "\u0661:00", "-0:15"):  # no clock shows the last five
         with pytest.raises(ValueError):
             slot_of(bad)
 
