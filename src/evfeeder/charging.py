@@ -159,7 +159,7 @@ def load_zone_plan(path: str | Path) -> ZonePlan:
         try:
             zone = int(parts[1])
             start = slot_of(parts[2])
-            buses = [int(tok) for tok in parts[3].split(",") if tok]
+            buses = [int(tok) for tok in parts[3].split(",")]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if zone in starts:

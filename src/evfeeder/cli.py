@@ -87,9 +87,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sample(args) -> int:
     cfg = _config(args).resolved()
-    consumers = scenario.consumers_of(scenario.load_topology(cfg.feeder))
+    topology = scenario.load_topology(cfg.feeder)
+    consumers = scenario.consumers_of(topology)
     penetration = cfg.penetration if cfg.penetration is not None else 0.6
-    fleet = loads.sample_fleet(consumers, penetration, seed=cfg.seed)
+    fleet = loads.sample_fleet(topology.n_buses, penetration, seed=cfg.seed)
     # every input is read before the first file is written
     curve = loads.load_base_curve(cfg.curve) if args.households else None
     out = cfg.out_dir or Path(".")

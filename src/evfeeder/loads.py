@@ -126,8 +126,6 @@ def sample_household_loads(
     return Households(consumers, p, reactive_from_active(p, power_factor, leading=leading))
 
 
-_PHASE_INDEX = {phase: k for k, phase in enumerate(PHASES)}
-
 # FleetSpec's per-vehicle columns and their types
 _FLEET_COLUMNS = (
     ("bus", int), ("phase", int), ("capacity_kwh", float),
@@ -216,35 +214,30 @@ def truncated_normal(rng, mean: float, sd: float, low: float, high: float, size:
 
 
 def sample_fleet(
-    consumers: list[tuple[int, str]],
+    n_buses: int,
     penetration: float,
     charge_power_w: float = DEFAULT_CHARGE_POWER_W,
     seed=0,
 ) -> FleetSpec:
-    """Assign EVs to floor(penetration * len(consumers)) consumers.
+    """Assign EVs to floor(penetration * 3 * n_buses) of a feeder's consumers.
 
-    Owners are chosen uniformly without replacement and kept in consumer
-    order; per-vehicle parameters follow CAPACITY_KWH, ARRIVAL_H, DEPARTURE_H
-    and INITIAL_SOC. Fully determined by the seed.
+    Owners are chosen uniformly without replacement from the bus-phase grid
+    and kept in its bus-major ``consumers_of`` order; per-vehicle parameters
+    follow CAPACITY_KWH, ARRIVAL_H, DEPARTURE_H and INITIAL_SOC. Fully
+    determined by the seed.
     """
     if not 0 <= penetration <= 1:
         raise ValueError("penetration must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    count = int(penetration * len(consumers))
-    chosen = np.sort(rng.choice(len(consumers), size=count, replace=False))
+    count = int(penetration * (3 * n_buses))
+    chosen = np.sort(rng.choice(3 * n_buses, size=count, replace=False))
     capacity = rng.uniform(*CAPACITY_KWH, size=count)
     arrival_h = truncated_normal(rng, *ARRIVAL_H, size=count)
     departure_h = truncated_normal(rng, *DEPARTURE_H, size=count)
     soc = truncated_normal(rng, *INITIAL_SOC, size=count)
-    # the owners' columns, gathered and mapped in C, not in a Python loop
-    bus, phase = list(zip(*map(consumers.__getitem__, chosen.tolist()))) or [(), ()]
-    try:
-        phase = np.fromiter(map(_PHASE_INDEX.__getitem__, phase), int, count)
-    except KeyError as exc:
-        raise ValueError(f"unknown phase {exc.args[0]!r}") from None
     return FleetSpec(
-        bus=np.fromiter(bus, int, count),
-        phase=phase,
+        bus=chosen // 3 + 1,
+        phase=chosen % 3,
         capacity_kwh=capacity,
         arrival=slot_of_hours(arrival_h),
         departure=slot_of_hours(departure_h),
@@ -336,8 +329,8 @@ def charge_duration_slots(
     rounds differently. Takes arrays or scalars, and returns their shape, as
     whole-number floats: a duration no integer type holds still compares.
     """
-    if charge_power_w <= 0:
-        raise ValueError("charge power must be positive")
+    if not 0 < charge_power_w < math.inf:
+        raise ValueError(f"charge power {charge_power_w} W must be positive and finite")
     deficit = np.maximum(SOC_TARGET - np.asarray(initial_soc, dtype=float), 0.0)
     # inf slots are more than a day, which the caller checks; nothing is near them
     with np.errstate(over="ignore", invalid="ignore"):

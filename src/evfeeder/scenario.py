@@ -10,7 +10,8 @@ and a strategy's own row where it charges. Each row is reduced to floats as it
 leaves the solver, so no complex state is kept per trial, and each strategy
 gathers its day from those rows through a (96,) row index. A trial's inputs
 are whole arrays: the household draw, copied straight into the rows, and the
-fleet and each schedule as columns, whose charging cells add the EV power; a
+fleet and each schedule as columns, whose charging cells add the EV power.
+A trial draws its households, and a sampled fleet, as it builds its rows; a
 loaded fleet's schedules are built once per run. A run feeds its trials'
 batches to one solver stream, which samples the next trial only when it has
 room for its rows, so that one trial's slowest slots iterate alongside the
@@ -234,7 +235,11 @@ def solve_horizon(
 
 
 class _Inputs:
-    """Shared, immutable pieces loaded once per run; each file only by a run that reads it."""
+    """A run's files, each loaded and checked once, and only by a run that reads it.
+
+    ``schedules`` maps each strategy that charges to its schedule: a loaded
+    fleet's, ``{}`` when none charges, or None when each trial samples a fleet.
+    """
 
     def __init__(self, cfg: ScenarioConfig, strategies: tuple[str, ...] = STRATEGIES):
         self.cfg = cfg
@@ -247,13 +252,16 @@ class _Inputs:
             self.zone_plan = plan = charging.load_zone_plan(cfg.zones)
             row = {zone: k for k, zone in enumerate(plan.start_times)}  # one statement per zone
             self._on_feeder(cfg.zones, list(plan.zones), [row[z] for z in plan.zones.values()], "bus")
-        self.needs_fleet = any(s != "baseline" for s in strategies)
-        self.file_fleet = self.file_schedules = None
-        if self.needs_fleet and cfg.fleet_file is not None:
-            self.file_fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
-            bus = self.file_fleet.bus.tolist()  # each statement of a fleet file is one vehicle
+            unzoned = [bus for bus in self.topology.buses if bus not in plan.zones]
+            if unzoned:
+                raise ValueError(f"{cfg.zones}: bus {unzoned[0]} has no zone in the plan")
+        charges = any(s != "baseline" for s in strategies)
+        self.schedules = None if charges else {}
+        if charges and cfg.fleet_file is not None:
+            fleet = loads.load_fleet(cfg.fleet_file, cfg.charge_power_w)
+            bus = fleet.bus.tolist()  # each statement of a fleet file is one vehicle
             self._on_feeder(cfg.fleet_file, bus, range(len(bus)), "vehicle at bus")
-            self.file_schedules = self.schedules_for_trial(None)  # the same every trial
+            self.schedules = self.schedules_of(fleet)  # the same every trial
 
     def _on_feeder(self, path: Path, buses: list[int], statement_of, what: str) -> None:
         """Raise at the `path:line` of the first bus off the feeder, buses[k] from statement_of[k]."""
@@ -264,45 +272,27 @@ class _Inputs:
             raise ValueError(
                 f"{path}:{lineno}: {what} {buses[outside[0]]} is outside the feeder's {n} buses")
 
-    def fleet_for_trial(self, fleet_seed: int) -> FleetSpec | None:
-        if self.file_fleet is not None or not self.needs_fleet:
-            return self.file_fleet  # None when no strategy charges
-        return loads.sample_fleet(
-            self.consumers,
-            self.cfg.penetration,
-            charge_power_w=self.cfg.charge_power_w,
-            seed=fleet_seed,
-        )
-
-    def schedules_for_trial(self, fleet_seed: int | None) -> dict[str, ChargeSchedule]:
-        """The schedule of each strategy that charges; a loaded fleet's are built once."""
-        if self.file_schedules is not None:
-            return self.file_schedules
-        fleet, cfg = self.fleet_for_trial(fleet_seed), self.cfg
-        built = {s: build_schedule(s, fleet, timer_start=cfg.timer_start, zone_plan=self.zone_plan)
-                 for s in self.strategies}
+    def schedules_of(self, fleet: FleetSpec) -> dict[str, ChargeSchedule]:
+        """The schedule of each strategy that charges `fleet`."""
+        built = {s: build_schedule(s, fleet, timer_start=self.cfg.timer_start,
+                                   zone_plan=self.zone_plan) for s in self.strategies}
         return {s: schedule for s, schedule in built.items() if schedule is not None}
-
-    def households_for_trial(self, household_seed: int) -> Households:
-        return loads.sample_household_loads(
-            self.curve,
-            self.consumers,
-            self.cfg.sigma_fraction,
-            self.cfg.power_factor,
-            seed=household_seed,
-            leading=self.cfg.leading_pf,
-        )
 
 
 def _trial_rows(inputs: _Inputs, seeds: dict) -> tuple[np.ndarray, dict]:
-    """A trial's demand rows to solve, and each strategy's (96,) index into them.
+    """Draw a trial from its seeds: its demand rows to solve, and each strategy's (96,) index.
 
     A slot where a strategy draws no EV power reads the household row, kept once
     if some strategy reads it; a slot where the strategy charges has its own row.
     Each row is its slot's household draw, plus each charging cell's EV power.
     """
-    households = inputs.households_for_trial(seeds["household"])
-    schedules = inputs.schedules_for_trial(seeds["fleet"])
+    cfg, schedules = inputs.cfg, inputs.schedules
+    households = loads.sample_household_loads(
+        inputs.curve, inputs.consumers, cfg.sigma_fraction, cfg.power_factor,
+        seed=seeds["household"], leading=cfg.leading_pf)
+    if schedules is None:  # the run samples a fleet each trial
+        schedules = inputs.schedules_of(loads.sample_fleet(
+            inputs.topology.n_buses, cfg.penetration, cfg.charge_power_w, seed=seeds["fleet"]))
     cells = {s: schedule.cells() for s, schedule in schedules.items()}
     own = {s: np.zeros(SLOTS_PER_DAY, dtype=bool) for s in inputs.strategies}
     for strategy, (slot, _, _) in cells.items():
@@ -430,15 +420,15 @@ def validate(config: ScenarioConfig) -> dict:
     SimulationError naming the snapshot and slot.
     """
     cfg = config.resolved()
-    topo = load_topology(cfg.feeder)
-    curve = loads.load_base_curve(cfg.curve)
+    inputs = _Inputs(cfg, ())  # no strategy: no fleet and no zone plan
+    topo, curve = inputs.topology, inputs.curve
     snapshots = {
         "valley": int(np.argmin(curve.p_base)),
         "shoulder": slot_of("08:00"),
         "peak": int(np.argmax(curve.p_base)),
     }
     households = loads.sample_household_loads(
-        curve, consumers_of(topo), 0.0, cfg.power_factor, seed=0, leading=cfg.leading_pf
+        curve, inputs.consumers, 0.0, cfg.power_factor, seed=0, leading=cfg.leading_pf
     )
     demand = household_frame(households, topo)
     limits = {"tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations}

@@ -19,7 +19,9 @@ from evfeeder.loads import (
     INITIAL_SOC,
     FleetDataWarning,
     charge_duration_slots,
+    load_base_curve,
     load_fleet,
+    sample_household_loads,
     truncated_normal,
 )
 from evfeeder.network import load_topology
@@ -32,8 +34,8 @@ from evfeeder.powerflow import (
 from evfeeder.scenario import (
     STRATEGIES,
     ScenarioConfig,
-    _Inputs,
     build_schedule,
+    consumers_of,
     default_feeder_path,
     default_fleet_path,
     household_frame,
@@ -71,9 +73,10 @@ def fleet34():
 def scenario_b_states(feeder19, fleet34):
     """Uncontrolled charging over the full day at the shipped defaults."""
     cfg = ScenarioConfig(strategy="uncontrolled", seed=SEED).resolved()
-    inputs = _Inputs(cfg)
     sd = trial_seeds(cfg.seed, 1)[0]
-    households = inputs.households_for_trial(sd["household"])
+    households = sample_household_loads(
+        load_base_curve(cfg.curve), consumers_of(feeder19), cfg.sigma_fraction,
+        cfg.power_factor, seed=sd["household"], leading=cfg.leading_pf)
     demand = household_frame(households, feeder19) + ev_power_frame(
         build_schedule("uncontrolled", fleet34), feeder19
     )

@@ -195,13 +195,22 @@ def test_zone_plan_rejects_double_assignment(tmp_path):
     ("zone one 23:00 1,2\n", ":1: invalid literal for int() with base 10: 'one'"),
     ("zone 1 23:00 1,2\nzone 1 24:00 3\n", ":2: zone 1 defined twice"),
     ("zone 1 1_0:00 1,2\n", ":1: bad time '1_0:00', expected HH:MM"),
-], ids=["short-row", "zone-not-integer", "zone-twice", "bad-time"])
+    ("zone 1 23:30 1,,2,15,16,17,18,19\n", ":1: invalid literal for int() with base 10: ''"),
+    ("zone 1 23:30 1,2,\n", ":1: invalid literal for int() with base 10: ''"),
+    ("zone 1 23:30 1,2\nzone 4 02:00 ,\n", ":2: invalid literal for int() with base 10: ''"),
+], ids=["short-row", "zone-not-integer", "zone-twice", "bad-time", "empty-bus", "trailing-comma",
+        "no-bus"])
 def test_zone_plan_fault_names_its_line(tmp_path, text, message):
     path = tmp_path / "z.txt"
     path.write_text(text)
     with pytest.raises(ValueError) as err:
         load_zone_plan(path)
     assert str(err.value) == f"{path}{message}"
+
+
+def test_zone_plan_needs_a_start_time_for_every_zone():
+    with pytest.raises(ValueError, match=r"^zones \[2\] have no start time$"):
+        ZonePlan(zones={1: 1, 2: 2}, start_times={1: 0})
 
 
 # --- semi-smart --------------------------------------------------------------
@@ -444,9 +453,8 @@ def test_column_fleet_and_schedules_match_the_per_vehicle_reference(roster, zone
         vehicles, plan = ref_vehicles(fleet), zones3
     else:
         topo = random_radial(np.random.default_rng(0), 2000)
-        consumers = consumers_of(topo)
-        fleet = sample_fleet(consumers, 0.6, seed=12)
-        vehicles = ref_sample_fleet(consumers, 0.6, seed=12)
+        fleet = sample_fleet(topo.n_buses, 0.6, seed=12)
+        vehicles = ref_sample_fleet(consumers_of(topo), 0.6, seed=12)
         assert len(vehicles) == 3600
         assert ref_vehicles(fleet) == vehicles
         assert fleet.capacity_kwh.tobytes() == np.array([v.capacity_kwh for v in vehicles]).tobytes()

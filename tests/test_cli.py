@@ -227,6 +227,18 @@ def test_zone_plan_bus_outside_feeder_is_named(tmp_path, capsys, old, new, where
             f"error: {path}{where}: bus {bus} is outside the feeder's 19 buses\n")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("17,18,19", "17,18", ": bus 19 has no zone in the plan"),
+    ("1,2,15", "1,,2,15", ":3: invalid literal for int() with base 10: ''"),
+], ids=["bus-left-out", "empty-bus"])
+def test_faulty_zone_plan_is_named(tmp_path, capsys, old, new, message):
+    path = tmp_path / "zones.txt"
+    path.write_text(default_zones_path().read_text().replace(old, new))
+    for command in (["sweep"], ["sweep", "--penetration", "0.1"], ["run", "--strategy", "zoned"]):
+        assert main([*command, "--zones", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+
 def test_fleet_outside_feeder_exits_cleanly(tmp_path, capsys):
     rc = main(["run", "--feeder", str(_two_bus_feeder(tmp_path))])
     assert rc == 2

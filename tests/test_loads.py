@@ -112,6 +112,17 @@ def test_reactive_power_ratio():
     assert reactive_from_active(500.0, 1.0) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("power_factor", [0.0, 1.5])
+def test_bad_power_factor_rejected(power_factor):
+    with pytest.raises(ValueError, match=r"^power factor must be in \(0, 1\]$"):
+        reactive_from_active(1000.0, power_factor)
+
+
+def test_consumer_on_unknown_phase_rejected():
+    with pytest.raises(ValueError, match=r"^unknown phase 'x'$"):
+        sample_household_loads(SHIPPED_CURVE, CONSUMERS_57 + [(20, "x")])
+
+
 def test_household_mean_at_peak_slot():
     # statistical oracle: the sample mean over many draws approaches the
     # curve value within three standard errors
@@ -192,12 +203,12 @@ def test_household_frame_needs_the_canonical_consumers():
 # --- EV sampling -------------------------------------------------------------
 
 def test_fleet_count_matches_penetration():
-    fleet = sample_fleet(CONSUMERS_57, penetration=0.60, seed=5)
+    fleet = sample_fleet(19, penetration=0.60, seed=5)
     assert fleet.bus.size == 34  # floor(0.6 * 57)
 
 
 def test_zero_penetration_gives_empty_fleet():
-    fleet = sample_fleet(CONSUMERS_57, penetration=0.0, seed=5)
+    fleet = sample_fleet(19, penetration=0.0, seed=5)
     assert all(getattr(fleet, name).size == 0 for name in FLEET_COLUMNS)
 
 
@@ -209,10 +220,9 @@ def test_sampled_capacity_moments():
     se = 6.93 / math.sqrt(n)
     assert abs(caps.mean() - 18.0) < 3 * se
     # and bounds hold through the public API
-    consumers = [(b, p) for b in range(1, 68) for p in "abc"][:200]
-    fleet = sample_fleet(consumers, penetration=1.0, seed=9)
+    fleet = sample_fleet(67, penetration=1.0, seed=9)
     got = fleet.capacity_kwh
-    assert got.size == 200
+    assert got.size == 201
     assert np.all((got >= 6.0) & (got <= 30.0))
 
 
@@ -231,11 +241,22 @@ def test_truncated_normal_bounds_and_mean():
         assert abs(draws.mean() - theory) < 3 * draws.std() / math.sqrt(n)
 
 
+def test_truncated_normal_rejects_empty_interval():
+    with pytest.raises(ValueError, match="^low > high$"):
+        truncated_normal(np.random.default_rng(0), 0.0, 1.0, 2.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("penetration", [-0.1, 1.5, math.nan])
+def test_bad_penetration_rejected(penetration):
+    with pytest.raises(ValueError, match=r"^penetration must be in \[0, 1\]$"):
+        sample_fleet(19, penetration)
+
+
 def test_sampled_fleet_fields_within_bounds_many_seeds():
     assert (loads.ARRIVAL_H, loads.DEPARTURE_H, loads.INITIAL_SOC) == (
         (19.0, 2.0, 16.0, 25.0), (7.0, 2.0, 5.0, 12.0), (0.75, 0.25, 0.25, 0.95))
     for seed in range(20):
-        fleet = sample_fleet(CONSUMERS_57, penetration=0.6, seed=seed)
+        fleet = sample_fleet(19, penetration=0.6, seed=seed)
         assert fleet.bus.size == 34
         assert np.all((6.0 <= fleet.capacity_kwh) & (fleet.capacity_kwh <= 30.0))
         assert np.all((0.25 <= fleet.initial_soc) & (fleet.initial_soc <= 0.95))
@@ -245,15 +266,15 @@ def test_sampled_fleet_fields_within_bounds_many_seeds():
 
 
 def test_sample_fleet_deterministic():
-    a = sample_fleet(CONSUMERS_57, penetration=0.6, seed=77)
-    b = sample_fleet(CONSUMERS_57, penetration=0.6, seed=77)
+    a = sample_fleet(19, penetration=0.6, seed=77)
+    b = sample_fleet(19, penetration=0.6, seed=77)
     assert columns_of(a) == columns_of(b)
-    c = sample_fleet(CONSUMERS_57, penetration=0.6, seed=78)
+    c = sample_fleet(19, penetration=0.6, seed=78)
     assert columns_of(a) != columns_of(c)
 
 
 def test_one_vehicle_per_consumer():
-    fleet = sample_fleet(CONSUMERS_57, penetration=1.0, seed=0)
+    fleet = sample_fleet(19, penetration=1.0, seed=0)
     spots = set(zip(fleet.bus.tolist(), fleet.phase.tolist()))
     assert len(spots) == fleet.bus.size == 57
 
@@ -345,6 +366,12 @@ def test_charge_duration_examples():
     assert charge_duration_slots(8, 0.14, 3500.0) == 8  # 1.85143 h
     assert charge_duration_slots(20, 0.95, 3500.0) == 0
     assert charge_duration_slots([26, 30, 8, 20], [0.65, 0.17, 0.14, 0.95]).tolist() == [9, 27, 8, 0]
+
+
+@pytest.mark.parametrize("power_w", [0.0, -3500.0, math.nan, math.inf])
+def test_charge_duration_needs_positive_finite_power(power_w):
+    with pytest.raises(ValueError, match=rf"^charge power {power_w} W must be positive and finite$"):
+        charge_duration_slots(10.0, 0.5, power_w)
 
 
 def test_charge_duration_exact_slot_boundary():

@@ -136,6 +136,11 @@ def test_round_trip(feeder19):
     assert again == feeder19
 
 
+def test_topology_equals_no_other_type(feeder19):
+    assert (feeder19 == 1) is False
+    assert feeder19 != "paper19"
+
+
 def test_cycle_rejected():
     text = "slack_voltage 220\nline 1 2 0.1 0.0\nline 2 1 0.1 0.0\n"
     with pytest.raises(TopologyError):

@@ -10,7 +10,13 @@ import pytest
 
 from evfeeder import metrics, powerflow, scenario
 from evfeeder.charging import ScheduleWarning, ev_power_frame
-from evfeeder.loads import FleetDataWarning, load_fleet
+from evfeeder.loads import (
+    FleetDataWarning,
+    load_base_curve,
+    load_fleet,
+    sample_fleet,
+    sample_household_loads,
+)
 from evfeeder.metrics import ReducedRows, compare_scenarios, reduce_horizon, row_sink
 from evfeeder.powerflow import (
     CHUNK_BUS_SLOTS,
@@ -511,12 +517,26 @@ def test_multi_trial_sweep_aggregates_and_isolation(tmp_path):
 ONE_DAY = np.arange(SLOTS_PER_DAY)
 
 
+def trial_households(cfg, seeds, topology):
+    """A trial's household draw, made from its resolved config and seeds."""
+    return sample_household_loads(
+        load_base_curve(cfg.curve), consumers_of(topology), cfg.sigma_fraction,
+        cfg.power_factor, seed=seeds["household"], leading=cfg.leading_pf)
+
+
+def trial_fleet(cfg, seeds, topology):
+    """A trial's fleet: the run's fleet file, or one sampled from the trial's seed."""
+    if cfg.fleet_file is not None:
+        return load_fleet(cfg.fleet_file, cfg.charge_power_w)
+    return sample_fleet(topology.n_buses, cfg.penetration, cfg.charge_power_w, seed=seeds["fleet"])
+
+
 def strategy_days(seed):
     """Each strategy's demand frame in the first trial of a default sweep."""
     inputs = _Inputs(ScenarioConfig(seed=seed).resolved())
     seeds = trial_seeds(seed, 1)[0]
-    frame = household_frame(inputs.households_for_trial(seeds["household"]), inputs.topology)
-    fleet = inputs.fleet_for_trial(seeds["fleet"])
+    frame = household_frame(trial_households(inputs.cfg, seeds, inputs.topology), inputs.topology)
+    fleet = trial_fleet(inputs.cfg, seeds, inputs.topology)
     days = {}
     for strategy in STRATEGIES:
         schedule = build_schedule(strategy, fleet, zone_plan=inputs.zone_plan)
@@ -557,8 +577,8 @@ def horizon_calls(monkeypatch):
 def dense_trial_rows(inputs, seeds, strategies):
     """A trial's rows and days built from dense (96, buses, 3) household and EV
     frames, one per trial and charging strategy: the reference for _trial_rows."""
-    frame = household_frame(inputs.households_for_trial(seeds["household"]), inputs.topology)
-    fleet = inputs.fleet_for_trial(seeds["fleet"])
+    frame = household_frame(trial_households(inputs.cfg, seeds, inputs.topology), inputs.topology)
+    fleet = trial_fleet(inputs.cfg, seeds, inputs.topology)
     evs = {}
     for strategy in strategies:
         schedule = build_schedule(strategy, fleet, timer_start=inputs.cfg.timer_start,
@@ -599,7 +619,7 @@ def test_trial_rows_match_the_dense_frame_construction(extra, strategies):
             for strategy, index in days.items():
                 assert index.tobytes() == ref_days[strategy].tobytes(), strategy
             if "sigma_fraction" in extra:  # clipped draws give -0.0 vars, and no row keeps one
-                q = inputs.households_for_trial(seeds["household"]).q
+                q = trial_households(inputs.cfg, seeds, inputs.topology).q
                 assert np.signbit(q[q == 0]).any() and not np.signbit(rows.imag[rows.imag == 0]).any()
 
 
