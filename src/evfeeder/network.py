@@ -176,22 +176,24 @@ class NetworkTopology:
 
     @cached_property
     def sweep_schedule(self) -> tuple[np.ndarray, tuple, tuple]:
-        """Read-only row order and slices of the level-scheduled backward-forward sweep.
+        """Read-only row order and groups of the level-scheduled backward-forward sweep.
 
         order    -- (n_buses,) 0-based bus in each row: the slack in row 0,
-                    then the buses by depth, within a depth by (sibling rank)
-                    group in ``backward``'s order, within a group by parent row
+                    then the buses by depth, within a depth those with the
+                    most children first, ties by bus
         forward  -- one ``(parent_rows, lo, hi)`` per depth level, root side
                     first: rows lo..hi-1 hold the level's buses and
                     parent_rows their parents' rows, all set by earlier levels
-        backward -- one ``(parent_rows, lo, hi)`` per (depth level, sibling
-                    rank) group, deepest level first and, within a level, each
-                    parent's last child first
+        backward -- one ``(child_rows, lo, hi)`` per (depth level, sibling
+                    rank) group, deepest level first and, within a level,
+                    each parent's last child first: rows lo..hi-1 are the
+                    parents, the leading rows of the level above, and
+                    child_rows the row of each one's child of that rank
 
-        Every non-slack bus sits in exactly one slice per pass. A group's
-        parent rows are distinct and above its slice, and adding the groups
-        in order sums every subtree in the order of a reversed depth-first
-        walk: children before parents, last child first.
+        Every non-slack bus sits in exactly one slice per pass and is the
+        child of exactly one backward group. Adding the groups in order sums
+        every subtree in the order of a reversed depth-first walk: children
+        before parents, last child first.
         """
         frm, to, _ = self.line_arrays
         parent, depth, n = self._parent, self._depth, self.n_buses
@@ -200,21 +202,22 @@ class NetworkTopology:
         key = frm[by_parent]
         rank = np.zeros(n, dtype=int)
         rank[to[by_parent]] = np.searchsorted(key, key, side="right") - 1 - np.arange(key.size)
-        # each depth's rows in turn: by rank, then by the row its parent took
-        order = np.argsort(depth, kind="stable")
-        level = np.searchsorted(depth[order], np.arange(depth.max() + 2)).tolist()
-        row = np.zeros(n, dtype=int)
-        for lo, hi in zip(level[1:], level[2:]):
-            buses = order[lo:hi]
-            order[lo:hi] = buses = buses[np.lexsort((row[parent[buses]], rank[buses]))]
-            row[buses] = np.arange(lo, hi)
+        # a parent has a child of rank r if it has more than r children, so
+        # each group's parents lead their level
+        order = np.lexsort((-np.bincount(frm, minlength=n), depth))
+        row = np.empty(n, dtype=int)
+        row[order] = np.arange(n)
         parent_rows = row[parent[order]]
-        for arr in (order, parent_rows):
+        depth, rank = depth[order], rank[order]
+        kids = 1 + np.lexsort((parent_rows[1:], rank[1:], -depth[1:]))  # in group order
+        for arr in (order, parent_rows, kids):
             arr.flags.writeable = False
-        starts = (np.flatnonzero(np.diff(depth[order]) | np.diff(rank[order])) + 1).tolist()
-        groups = sorted(zip(starts, starts[1:] + [n]), key=lambda g: -depth[order[g[0]]])
+        level = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
         forward = tuple((parent_rows[lo:hi], lo, hi) for lo, hi in zip(level[1:], level[2:]))
-        return order, forward, tuple((parent_rows[lo:hi], lo, hi) for lo, hi in groups)
+        starts = np.flatnonzero(np.diff(depth[kids], prepend=0) | np.diff(rank[kids], prepend=0))
+        bounds, los = starts.tolist() + [n - 1], parent_rows[kids[starts]].tolist()
+        backward = tuple((kids[a:b], lo, lo + b - a) for a, b, lo in zip(bounds, bounds[1:], los))
+        return order, forward, backward
 
 
 def _repeats(*keys: np.ndarray) -> np.ndarray:

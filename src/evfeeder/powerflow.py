@@ -28,15 +28,18 @@ any solved state, a batch's or one slot's.
 
 * :func:`solve_stream` -- the step is a backward-forward sweep over the
   feeder tree, scheduled by depth level (``NetworkTopology.sweep_schedule``,
-  after Teng's BIBC/BCBV formulation) on buses renumbered into rows, so
-  that every level and every (depth level, sibling rank) group is one
-  slice of rows. The backward pass adds load currents leaf-to-root, one
-  ``acc[parent_rows] += acc[lo:hi]`` per group, and leaves in each row the
-  current of the line feeding it; the forward pass re-derives voltages
-  root-to-leaf from the line drops, one slice per depth level. The loop
-  puts injections in row order on entry and each slot's results back in
-  bus and line order as it leaves. Every sum runs in the order of a
-  sequential depth-first walk, so results do not depend on batch size.
+  after Teng's BIBC/BCBV formulation) on buses renumbered into rows: by
+  depth, and within a depth the buses with the most children first, so that
+  every level is one slice of rows and the parents of every (depth level,
+  sibling rank) group are the leading rows of theirs. The backward pass adds
+  load currents leaf-to-root, deepest level first: a level's children are
+  gathered once, unless each group's are a slice already, and each group
+  adds ``acc[lo:hi] += kids[a:b]``; it leaves in each row the current of the
+  line feeding it. The forward pass re-derives voltages root-to-leaf from
+  the line drops, one slice per depth level. The loop puts injections in row
+  order on entry and each slot's results back in bus and line order as it
+  leaves. Every sum runs in the order of a sequential depth-first walk, so
+  results do not depend on batch size or row order.
   :func:`solve_batch` is its stream of one batch, and :func:`solve_sweep`
   slot 0 of a one-slot batch.
 * :func:`solve_direct` -- testing oracle, a stream of one slot. The step is
@@ -58,6 +61,7 @@ they are served directly at its fixed voltage and never touch the network.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -395,7 +399,7 @@ def _fixed_point(
         del i_load, drawn, v_new, i_line  # not held through _store or while suspended at a yield
 
 
-def _parent_slice(rows: np.ndarray):
+def _row_slice(rows: np.ndarray):
     """`rows` as a slice when consecutive, or of one row to broadcast when all equal."""
     lo = int(rows[0])
     if (np.diff(rows) == 1).all():
@@ -406,8 +410,9 @@ def _parent_slice(rows: np.ndarray):
 def _sweep_step(topology: NetworkTopology):
     """The level-scheduled backward-forward sweep over a batch of slots, and its row order.
 
-    The step sums the drawn currents `acc` in place. With z repeated over the set's slots
-    and parent rows sliced where they can be, no call loops per (row, slot) over 4 wires.
+    The step sums the drawn currents `acc` in place. With z repeated over the set's slots,
+    rows sliced where they can be and a level's scattered children gathered once, no
+    call loops per (row, slot) over 4 wires.
     """
     order, forward, backward = topology.sweep_schedule
     _, to, z = topology.line_arrays
@@ -415,14 +420,24 @@ def _sweep_step(topology: NetworkTopology):
     line_of_bus[to] = np.arange(len(to))
     z_lines = z[line_of_bus[order[1:]], None]  # row r's feeds the bus in row r + 1
     z_lines = np.repeat(z_lines, max(1, CHUNK_BUS_SLOTS // topology.n_buses), axis=1)
-    backward = [(_parent_slice(parent_rows), slice(lo, hi)) for parent_rows, lo, hi in backward]
-    forward = [(_parent_slice(parent_rows), slice(lo, hi), z_lines[lo - 1:hi - 1])
+    levels = []
+    for _, groups in itertools.groupby(backward, key=lambda g: g[1]):  # a level's groups share lo
+        kids, los, his = zip(*groups)
+        rows, gather = [_row_slice(k) for k in kids], None
+        if not all(isinstance(r, slice) for r in rows):  # gathered once, a slice per group
+            at = np.cumsum([0] + [len(k) for k in kids]).tolist()
+            gather, rows = np.concatenate(kids), [slice(a, b) for a, b in zip(at, at[1:])]
+        levels.append((gather, [(slice(lo, hi), r) for lo, hi, r in zip(los, his, rows)]))
+    forward = [(_row_slice(parent_rows), slice(lo, hi), z_lines[lo - 1:hi - 1])
                for parent_rows, lo, hi in forward]
 
     def step(acc, v):
-        # backward: each group adds complete subtrees into distinct parents
-        for parent_rows, rows in backward:
-            acc[parent_rows] += acc[rows]
+        # backward: a level's children are complete, and each group adds them into
+        # its distinct parents
+        for gather, groups in levels:
+            kids = acc if gather is None else acc[gather]
+            for parents, rows in groups:
+                acc[parents] += kids[rows]
         # forward: a level's parents are set before its children
         v_new = np.empty_like(v)
         v_new[0] = v[0]

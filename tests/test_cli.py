@@ -3,12 +3,17 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from evfeeder import scenario
 from evfeeder.cli import main
 from evfeeder.loads import FleetDataWarning
+from evfeeder.network import load_topology
+from evfeeder.powerflow import solve_batch
 from evfeeder.scenario import default_fleet_path, default_zones_path
+
+from test_powerflow import assert_same_state, walk_sweep
 
 pytestmark = pytest.mark.filterwarnings("ignore::evfeeder.loads.FleetDataWarning")
 
@@ -295,6 +300,29 @@ def test_validate_feeder_without_lines(tmp_path, capsys):
     rc = main(["validate", "--feeder", str(feeder)])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("lines", ["", "line 1 2 0.1 0.05\n"], ids=["slack-only", "one-line"])
+def test_feeder_of_one_or_two_buses_schedules_solves_validates_and_runs(tmp_path, capsys, lines):
+    feeder = tmp_path / "small.txt"
+    feeder.write_text("slack_voltage 230\n" + lines)
+    topo = load_topology(feeder)
+    order, forward, backward = topo.sweep_schedule
+    assert order.tolist() == list(range(topo.n_buses))
+    assert [(rows.tolist(), lo, hi) for rows, lo, hi in forward] == [([0], 1, 2)][:len(topo.lines)]
+    assert [(rows.tolist(), lo, hi) for rows, lo, hi in backward] == [([1], 0, 1)][:len(topo.lines)]
+    s = np.full((3, topo.n_buses, 3), 700.0 + 300.0j)
+    state = solve_batch(topo, s)
+    for t in range(3):
+        assert_same_state(state[t], walk_sweep(topo, s[t]))
+    assert main(["validate", "--feeder", str(feeder)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"
+    assert main(["run", "--strategy", "baseline", "--feeder", str(feeder), "--seed", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"] == "baseline"
+    assert (payload["total_loss_kwh"] == 0.0) == (not lines)
+    assert payload["slack_energy_kwh"] == pytest.approx(
+        payload["load_energy_kwh"] + payload["total_loss_kwh"], rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [

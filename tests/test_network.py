@@ -76,48 +76,75 @@ def test_line_arrays_follow_lines_and_are_read_only(feeder19):
             arr[0] = 0
 
 
+def assert_schedule_covers(topo):
+    """Rows renumber the buses; each forward level is a whole depth below the
+    levels that set its parents; each backward group's parents are rows lo..hi-1,
+    the leading rows of their level, and every parent adds its children last first."""
+    order, forward, backward = topo.sweep_schedule
+    n = topo.n_buses
+    frm, to, _ = topo.line_arrays
+    assert order[0] == 0 and sorted(order) == list(range(n))
+    row = np.argsort(order)
+    parent_row = dict(zip(row[to].tolist(), row[frm].tolist()))
+    depth = {0: 0}
+    for r in range(1, n):
+        depth[r] = depth[parent_row[r]] + 1
+    # forward: the depths in turn, root side first; parents sit above their slice
+    covered = [r for _, lo, hi in forward for r in range(lo, hi)]
+    assert covered == list(range(1, n))
+    assert [{depth[r] for r in range(lo, hi)} for _, lo, hi in forward] == [
+        {d} for d in range(1, len(forward) + 1)]
+    for parent_rows, lo, hi in forward:
+        assert parent_rows.tolist() == [parent_row[r] for r in range(lo, hi)]
+        assert max(parent_rows) < lo
+    # backward: every non-slack row a child exactly once, of parents lo..hi-1
+    # leading their level; groups run deepest first
+    kids = [r for child_rows, _, _ in backward for r in child_rows.tolist()]
+    assert sorted(kids) == list(range(1, n))
+    level_start = {0: 0} | {depth[lo]: lo for _, lo, _ in forward}
+    for child_rows, lo, hi in backward:
+        assert [parent_row[r] for r in child_rows.tolist()] == list(range(lo, hi))
+        assert lo == level_start[depth[lo]]
+    depths = [depth[lo] + 1 for _, lo, _ in backward]
+    assert depths == sorted(depths, reverse=True)
+    # and each parent adds its children last first, as a reversed walk does
+    added = defaultdict(list)
+    for child_rows, lo, _ in backward:
+        for p, r in enumerate(child_rows.tolist(), start=lo):
+            added[p].append(r)
+    for p in range(n):
+        assert added[p] == [row[t] for f, t in zip(frm, to) if row[f] == p][::-1]
+    return order, forward, backward
+
+
 def test_sweep_schedule_is_cached_read_only_and_lazy():
     topo = load_topology(default_feeder_path())
     assert "sweep_schedule" not in vars(topo)  # built on first use, not at load
-    order, forward, backward = topo.sweep_schedule
+    order, forward, backward = assert_schedule_covers(topo)
     assert topo.sweep_schedule is topo.sweep_schedule
     assert (len(forward), len(backward)) == (7, 16)
-    frm, to, _ = topo.line_arrays
-    # rows renumber the buses, slack first; each row's parent row is its parent's
-    assert order[0] == 0 and sorted(order) == list(range(19))
-    row = np.argsort(order)
-    parent_row = {row[t]: row[f] for f, t in zip(frm, to)}
-    depth = {0: 0}
-    for r in range(1, 19):
-        depth[r] = depth[parent_row[r]] + 1
-    for name, schedule in (("forward", forward), ("backward", backward)):
-        # every non-slack bus in exactly one slice per pass
-        covered = np.concatenate([np.arange(lo, hi) for _, lo, hi in schedule])
-        assert sorted(covered) == list(range(1, 19)), name
-        for parent_rows, lo, hi in schedule:
-            assert list(parent_rows) == [parent_row[r] for r in range(lo, hi)], name
-            assert max(parent_rows) < lo, name  # parents sit above their slice
-    # forward levels are whole depths, root side first
-    assert [{depth[r] for r in range(lo, hi)} for _, lo, hi in forward] == [
-        {d} for d in range(1, 8)
-    ]
-    # no parent twice in one backward group; groups run deepest first
-    for parent_rows, _, _ in backward:
-        assert len(set(parent_rows.tolist())) == len(parent_rows)
-    group_depths = [{depth[r] for r in range(lo, hi)} for _, lo, hi in backward]
-    assert all(len(d) == 1 for d in group_depths)
-    depths = [d.pop() for d in group_depths]
-    assert depths == sorted(depths, reverse=True) and depths[0] == 7
-    # and each parent adds its children last first, as a reversed walk does
-    added = {}
-    for parent_rows, lo, hi in backward:
-        for p, r in zip(parent_rows, range(lo, hi)):
-            added.setdefault(p, []).append(r)
-    for p, rows in added.items():
-        assert rows == [row[t] for f, t in zip(frm, to) if row[f] == p][::-1]
     for arr in [order] + [g[0] for g in forward + backward]:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+def chain(parents):
+    """Segments whose bus k + 2 hangs off bus parents[k]."""
+    return [LineSegment(p, b, 0.1 + 0.01j, 0.2 + 0.02j) for b, p in enumerate(parents, start=2)]
+
+
+@pytest.mark.parametrize("shape", ["random", "star", "path", "broom"])
+def test_backward_groups_add_each_child_once_into_the_leading_parent_rows(shape):
+    rng = np.random.default_rng(27)
+    feeders = {
+        "random": [random_lines(rng, int(rng.integers(2, 120))) for _ in range(30)],
+        "star": [chain([1] * 50), chain([1] + [2] * 50)],  # one bus with 50 children
+        "path": [chain(range(1, 300))],  # 300 buses
+        "broom": [chain(list(range(1, 21)) + [21] * 30 + list(range(22, 52)))],  # handle, bristles
+    }[shape]
+    for lines in feeders:
+        topo = NetworkTopology(lines=tuple(lines[k] for k in rng.permutation(len(lines))))
+        assert_schedule_covers(topo)
 
 
 def test_every_bus_has_single_path_to_slack(feeder19):
@@ -318,7 +345,7 @@ def ref_sweep_order(lines, n):
 
 
 def ref_sweep_schedule(lines):
-    """The sweep schedule built bus by bus, from a depth-first walk."""
+    """The sweep schedule built bus by bus: rows by depth, then by child count."""
     n = len(lines) + 1
     parent, rank, n_children = [0] * n, [0] * n, [0] * n
     for ln in reversed(lines):  # rank counts siblings from the last
@@ -326,25 +353,23 @@ def ref_sweep_schedule(lines):
         parent[b], rank[b] = p, n_children[p]
         n_children[p] += 1
     depth = [0] * n
-    groups = defaultdict(list)
     for b in ref_sweep_order(lines, n)[1:]:
-        b -= 1
-        depth[b] = depth[parent[b]] + 1
-        groups[depth[b], rank[b]].append(b)
-    row, order, spans = [0] * n, [0], {}
-    for key in sorted(groups):  # a depth's parents have their rows first
-        lo = len(order)
-        for b in sorted(groups[key], key=lambda b: row[parent[b]]):
-            row[b] = len(order)
-            order.append(b)
-        spans[key] = (lo, len(order))
+        depth[b - 1] = depth[parent[b - 1]] + 1
+    order = sorted(range(n), key=lambda b: (depth[b], -n_children[b], b))
+    row = {b: r for r, b in enumerate(order)}
+    first = {}  # each depth's first row
+    for r, b in enumerate(order):
+        first.setdefault(depth[b], r)
     parent_rows = np.array([row[parent[b]] for b in order], dtype=int)
-    starts = [lo for (_, r), (lo, _) in spans.items() if r == 0] + [n]  # a level per depth
+    starts = [first[d] for d in range(1, len(first))] + [n]
     forward = [(parent_rows[lo:hi], lo, hi) for lo, hi in zip(starts, starts[1:])]
-    backward = [
-        (parent_rows[lo:hi], lo, hi)
-        for _, (lo, hi) in sorted(spans.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-    ]
+    groups = defaultdict(list)
+    for b in sorted(range(1, n), key=lambda b: row[parent[b]]):
+        groups[depth[b], rank[b]].append(row[b])
+    backward = []
+    for d, r in sorted(groups, key=lambda key: (-key[0], key[1])):
+        lo = first[d - 1]  # the parents of rank-r children: the level's first rows
+        backward.append((np.array(groups[d, r], dtype=int), lo, lo + len(groups[d, r])))
     return np.array(order, dtype=int), forward, backward
 
 

@@ -368,8 +368,8 @@ def test_phase_to_neutral_keeps_the_bytes_of_the_broadcast():
 
 
 def fancy_step(topology):
-    """The sweep step with index-array parents, z broadcast over the slots and
-    a copied accumulator: the reference the step of solve_stream must equal."""
+    """The sweep step with index-array rows on both sides, z broadcast over the
+    slots and a copied accumulator: the reference the step of solve_stream must equal."""
     order, forward, backward = topology.sweep_schedule
     _, to, z = topology.line_arrays
     line_of_bus = np.empty(topology.n_buses, dtype=int)
@@ -378,8 +378,8 @@ def fancy_step(topology):
 
     def step(drawn, v):
         acc = drawn.copy()
-        for parent_rows, lo, hi in backward:
-            acc[parent_rows] += acc[lo:hi]
+        for child_rows, lo, hi in backward:
+            acc[np.arange(lo, hi)] += acc[child_rows]
         v_new = np.empty_like(v)
         v_new[0] = v[0]
         for parent_rows, lo, hi in forward:
@@ -390,11 +390,11 @@ def fancy_step(topology):
 
 
 def sliced_groups(topology):
-    """How many backward groups of depth two or more have parents that
-    _parent_slice makes a slice, and how many such groups there are."""
+    """How many backward groups of depth two or more have children that
+    _row_slice makes a slice, and how many such groups there are."""
     _, _, backward = topology.sweep_schedule
-    deep = [rows for rows, _, _ in backward if rows.min() > 0]  # below the slack's children
-    return sum(isinstance(powerflow._parent_slice(rows), slice) for rows in deep), len(deep)
+    deep = [rows for rows, lo, _ in backward if lo > 0]  # below the slack's children
+    return sum(isinstance(powerflow._row_slice(rows), slice) for rows in deep), len(deep)
 
 
 def tree(parents):
@@ -422,7 +422,7 @@ def test_sliced_sweep_step_keeps_the_bytes_of_the_fancy_index_step(feeder19):
     rng = np.random.default_rng(19)
     complete = tree([1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7])  # binary, four levels
     skipping = tree([1, 1, 1, 2, 2, 4, 4])  # children under the first and third bus
-    assert sliced_groups(complete) == (4, 4)
+    assert sliced_groups(complete) == (0, 4)
     assert sliced_groups(skipping) == (0, 2)
     assert sliced_groups(feeder19) == (12, 13)
     for topo in (complete, skipping, feeder19, deep_wide_radial(rng, 120)):
